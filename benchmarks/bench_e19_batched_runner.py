@@ -1,12 +1,19 @@
-"""E19 — batched pattern-execution engine vs sequential map extraction.
+"""E19 — batched pattern-execution engine vs per-column map extraction.
 
 ``pattern_to_matrix`` on a compiled QAOA pattern with ``k`` open inputs
-needs all ``2^k`` input basis columns.  The sequential reference re-runs
-the full pattern once per column; the batched engine
-(:mod:`repro.mbqc.backend`) simulates the whole block in one vectorized
-sweep over a :class:`~repro.sim.BatchedStateVector`.  This regenerates the
-speedup table for p=1 QAOA instances and asserts the acceptance criterion:
-≥ 5x on a 4-input pattern with outputs matching to 1e-9.
+needs all ``2^k`` input basis columns.  The per-column baseline compiles
+once and makes one ``run_branch_batch`` call per input column; the batched
+engine (:mod:`repro.mbqc.backend`) simulates the whole block in one
+vectorized sweep over a :class:`~repro.sim.BatchedStateVector`.  This
+regenerates the speedup table for p=1 QAOA instances and asserts the
+acceptance criterion on every ≥ 4-input instance, with maps matching to
+1e-9.
+
+The gate was first set at ≥ 5x against a sequential interpreter re-run
+per column.  Re-based on the per-column baseline, each threshold is
+``5 × max(1, t_per_column / t_sequential)`` with the ratio calibrated
+from medians of 7 alternating runs of both baselines (ratios 1.41–1.43 on
+a 2-core x86 box) — see ``MIN_SPEEDUP``.
 """
 
 import time
@@ -15,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core import compile_qaoa_pattern
-from repro.mbqc import pattern_to_matrix, pattern_to_matrix_sequential
+from repro.mbqc import compile_pattern, get_backend, pattern_to_matrix
 from repro.problems import MaxCut
 
 CASES = [
@@ -23,6 +30,23 @@ CASES = [
     ("ring-5-p1", MaxCut.ring(5).to_qubo(), 5),
     ("3reg-6-p1", MaxCut.random_regular(3, 6, seed=3).to_qubo(), 6),
 ]
+
+#: Calibrated acceptance threshold per instance (see the module docstring).
+MIN_SPEEDUP = {"ring-4-p1": 7.1, "ring-5-p1": 7.2, "3reg-6-p1": 7.1}
+
+
+def per_column_matrix(pattern):
+    """The baseline: compile once, then one forced-branch run per input
+    basis column on the dense engine, stacked into the map."""
+    compiled = compile_pattern(pattern)
+    branch = {node: 0 for node in compiled.measured_nodes}
+    engine = get_backend("statevector")
+    eye = np.eye(1 << compiled.num_inputs, dtype=complex)
+    cols = [
+        engine.run_branch_batch(compiled, eye[j:j + 1], branch).states[0]
+        for j in range(eye.shape[0])
+    ]
+    return np.stack(cols, axis=1)
 
 
 def _median_time(fn, repeats=3):
@@ -40,18 +64,18 @@ def speedup_rows():
         compiled = compile_qaoa_pattern(qubo, [0.37], [0.52], open_inputs=True)
         pat = compiled.pattern
         batched = pattern_to_matrix(pat)
-        sequential = pattern_to_matrix_sequential(pat)
-        max_diff = float(np.abs(batched - sequential).max())
-        t_seq = _median_time(lambda: pattern_to_matrix_sequential(pat))
+        per_column = per_column_matrix(pat)
+        max_diff = float(np.abs(batched - per_column).max())
+        t_col = _median_time(lambda: per_column_matrix(pat))
         t_bat = _median_time(lambda: pattern_to_matrix(pat))
         rows.append(
             {
                 "instance": name,
                 "inputs": v,
                 "columns": 1 << v,
-                "t_sequential_ms": 1e3 * t_seq,
+                "t_per_column_ms": 1e3 * t_col,
                 "t_batched_ms": 1e3 * t_bat,
-                "speedup": t_seq / t_bat,
+                "speedup": t_col / t_bat,
                 "max_diff": max_diff,
             }
         )
@@ -60,24 +84,26 @@ def speedup_rows():
 
 def test_e19_batched_speedup(benchmark):
     rows = benchmark(speedup_rows)
-    print("\nE19 — batched vs sequential pattern_to_matrix (p=1 QAOA, open inputs)")
+    print("\nE19 — batched vs per-column pattern_to_matrix (p=1 QAOA, open inputs)")
     print(
-        f"{'instance':>10} {'k':>3} {'cols':>5} {'seq ms':>9} {'batch ms':>9} "
+        f"{'instance':>10} {'k':>3} {'cols':>5} {'col ms':>9} {'batch ms':>9} "
         f"{'speedup':>8} {'max diff':>10}"
     )
     for r in rows:
         print(
             f"{r['instance']:>10} {r['inputs']:>3} {r['columns']:>5} "
-            f"{r['t_sequential_ms']:>9.2f} {r['t_batched_ms']:>9.2f} "
+            f"{r['t_per_column_ms']:>9.2f} {r['t_batched_ms']:>9.2f} "
             f"{r['speedup']:>8.1f} {r['max_diff']:>10.2e}"
         )
     for r in rows:
         # Exact same engine semantics: branch outputs agree far below 1e-9.
         assert r["max_diff"] < 1e-9
-    # Acceptance: >= 5x on the >= 4-input p=1 instances.
+    # Acceptance: the calibrated threshold on the >= 4-input instances.
     for r in rows:
         if r["inputs"] >= 4:
-            assert r["speedup"] >= 5.0, (r["instance"], r["speedup"])
+            assert r["speedup"] >= MIN_SPEEDUP[r["instance"]], (
+                r["instance"], r["speedup"]
+            )
 
 
 def test_e19_branch_enumeration_amortizes_compile(benchmark):

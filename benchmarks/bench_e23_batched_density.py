@@ -1,27 +1,30 @@
-"""E23 — vectorized density-matrix trajectory sampling vs the per-shot loop.
+"""E23 — batched density-matrix trajectory sampling vs one resident shot.
 
 The density engine is the only backend that executes *non-Pauli* channels
-(amplitude damping, dephasing mixtures) — exactly, per trajectory — but
-until this refactor its sampler advanced one scalar density matrix per shot
-in a Python loop, capping noisy-channel studies of the paper's MBQC-QAOA
-patterns at toy shot counts.  ``DensityMatrixBackend.sample_batch`` now
-advances one ``(B, 2, ..., 2, 2, ..., 2)`` batched density tensor through a
-single compiled-op sweep, chunked against a byte budget
-(``B · 4^max_live`` complex amplitudes resident), with the per-shot loop
-retained as ``vectorize=False``.
+(amplitude damping, dephasing mixtures) — exactly, per trajectory.
+``DensityMatrixBackend.sample_batch`` advances one
+``(B, 2, ..., 2, 2, ..., 2)`` batched density tensor through a single
+compiled-op sweep, chunked against a byte budget (``B · 4^max_live``
+complex amplitudes resident).  The baseline is the same call with
+``max_block_bytes=1``: one resident shot per chunk, the per-shot shape of
+the same kernels.
 
 Two acceptance claims:
 
-1. **Exactness.**  Both paths — and every chunking of the vectorized one —
-   consume the parent generator through the same whole-block draw schedule,
-   so seeded outcome records are **bit-identical**: the speedup carries no
-   statistical caveats.
+1. **Exactness.**  Every chunking consumes the parent generator through
+   the same whole-block draw schedule, so seeded outcome records are
+   **bit-identical** between the batched sweep and the one-shot baseline:
+   the speedup carries no statistical caveats.
 
 2. **Speed.**  ≥ 3x at 256 shots on a noisy ring-QAOA pattern under an
    amplitude-damping + dephasing + readout-flip channel model (the win is
    memory-bounded by design: each shot carries a whole density tensor, so
    the batch chunk — unlike the stabilizer engine's shared-structure
-   block — cannot amortize O(n²) structure across shots).
+   block — cannot amortize O(n²) structure across shots).  The gate was
+   first set against a retained scalar per-shot loop; the one-shot
+   baseline measured 0.57x that loop's time (medians of 7 alternating runs
+   on a 2-core x86 box), so the calibrated threshold
+   ``3 × max(1, 0.57)`` stays 3.
 
 Emits ``BENCH_E23.json`` in the working directory for downstream tracking.
 Set ``REPRO_BENCH_QUICK=1`` for the trimmed CI smoke variant.
@@ -68,23 +71,23 @@ def _timed(fn):
 
 
 def test_e23_batched_vs_loop_sweep():
-    """Shots-vs-wall-time sweep: vectorized vs retained per-shot loop, with
-    the bit-identity check on every point."""
+    """Shots-vs-wall-time sweep: batched vs one resident shot, with the
+    bit-identity check on every point."""
     program = noisy_ring_program()
     dm = get_backend("density")
-    print("\nE23 — batched density trajectories vs per-shot loop "
+    print("\nE23 — batched density trajectories vs one resident shot "
           f"(ring-{RING}, {len(program.measured_nodes)} measured nodes, "
           f"max_live {program.max_live}, amplitude-damping noise)")
-    print(f"{'shots':>6} {'batched ms':>11} {'loop ms':>9} {'speedup':>8} {'identical':>10}")
+    print(f"{'shots':>6} {'batched ms':>11} {'1-shot ms':>10} {'speedup':>8} {'identical':>10}")
     for shots in SHOT_SWEEP:
         run_b, t_b = _timed(
             lambda: dm.sample_batch(
-                program, shots, rng=np.random.default_rng(7), vectorize=True
+                program, shots, rng=np.random.default_rng(7)
             )
         )
         run_l, t_l = _timed(
             lambda: dm.sample_batch(
-                program, shots, rng=np.random.default_rng(7), vectorize=False
+                program, shots, rng=np.random.default_rng(7), max_block_bytes=1
             )
         )
         identical = bool(np.array_equal(run_b.outcomes, run_l.outcomes))
@@ -94,12 +97,12 @@ def test_e23_batched_vs_loop_sweep():
             {
                 "shots": shots,
                 "t_batched_s": t_b,
-                "t_loop_s": t_l,
+                "t_one_shot_s": t_l,
                 "speedup": speedup,
                 "bit_identical": identical,
             }
         )
-        print(f"{shots:>6} {1e3 * t_b:>11.1f} {1e3 * t_l:>9.1f} "
+        print(f"{shots:>6} {1e3 * t_b:>11.1f} {1e3 * t_l:>10.1f} "
               f"{speedup:>7.1f}x {'yes' if identical else 'NO':>10}")
 
     # Acceptance: >= 3x at 256 shots.

@@ -14,8 +14,8 @@ Acceptance claims:
   and *bit-identical* seeded sample records (both engines consume the
   same per-measurement draw convention).
 * **Chunk invariance.**  Seeded records are bit-identical across shot
-  chunk sizes and to the ``vectorize=False`` scalar reference — the PR 5
-  contract on the fourth engine.
+  chunk sizes, down to one resident shot (``max_block_bytes=1``) — the
+  chunk-invariance contract on the fourth engine.
 * **Scaling.**  Line and ring patterns with ≥ 100 measured non-Clifford
   nodes sample within the default byte budget; auto-dispatch routes them
   to the MPS engine off ``interaction_width``, and reported truncation
@@ -112,10 +112,10 @@ def test_e25_exactness_vs_statevector():
 
 
 def test_e25_chunk_and_scalar_bit_identity():
-    """Records invariant to the shot chunking and to vectorize=False."""
+    """Records invariant to the shot chunking, down to one resident shot."""
     compiled = ring_pattern(6)
     eng = get_backend("mps")
-    ref = eng.sample_batch(compiled, 48, rng=13, vectorize=False)
+    ref = eng.sample_batch(compiled, 48, rng=13, max_block_bytes=1)
     for chunk_mult in (1, 3, 7):
         run = eng.sample_batch(
             compiled, 48, rng=13,

@@ -18,8 +18,8 @@ sees, so this module enforces them structurally over ``src/``:
     ``repro.sim``) a generator must not make scalar draws inside a
     ``for``/``while`` loop: per-op draws make the consumed stream depend
     on data order, which breaks the whole-block draw tables that keep
-    the vectorized and scalar paths bit-identical.  The documented
-    scalar reference paths (:data:`C003_ALLOW`) are exempt.
+    seeded records bit-identical across chunk sizes.  The documented
+    scalar draw paths (:data:`C003_ALLOW`) are exempt.
 
 Run via :func:`lint_tree` (pytest + CI) or ``repro lint --contracts``.
 """
@@ -40,11 +40,9 @@ RNG_MODULE_SUFFIXES = ("repro/utils/rng.py",)
 KERNEL_PACKAGE_FRAGMENTS = ("repro/mbqc/", "repro/stab/", "repro/sim/")
 
 #: Enclosing function/class names exempt from C003 — the documented
-#: scalar trajectory reference paths whose draw order is part of their
+#: scalar trajectory draw paths whose draw order is part of their
 #: contract (each one's docstring says so).
-C003_ALLOW = frozenset(
-    {"draw_pauli_fault", "run_pattern", "run_pattern_noisy", "_GeneratorDraws"}
-)
+C003_ALLOW = frozenset({"draw_pauli_fault", "run_pattern", "_GeneratorDraws"})
 
 #: ``np.random`` attributes that are legitimate non-drawing references
 #: (types for annotations/isinstance, the sanctioned constructor which
@@ -204,7 +202,7 @@ class _ContractVisitor(ast.NodeVisitor):
                 "scalar RNG draw inside a loop; hoist to one whole-block "
                 "draw (size=...) so the consumed stream is data-independent, "
                 "or add the enclosing scope to C003_ALLOW if this is a "
-                "documented scalar reference path",
+                "documented scalar draw path",
                 node,
             )
         self.generic_visit(node)

@@ -20,9 +20,10 @@ estimate (mps).
 
 Two branch bounds reproduce the density engine's integration costs, both
 derived from one :func:`repro.mbqc.compile.signal_liveness` pass:
-``branch_bound`` is the raw scalar-path leaf count (dead records merged by
-dephase + partial trace at cost 1, live records a factor 2, and 4 when a
-readout flip makes the recorded bit differ from the projected one), and
+``branch_bound`` is the raw leaf count of a branch-by-branch enumeration
+(dead records merged by partial trace at cost 1, live records a factor 2,
+and 4 when a readout flip makes the recorded bit differ from the projected
+one), and
 ``merged_branch_bound`` is the frontier integrator's peak width — at most
 ``2^rank`` distinguishable future-read parity patterns at any measurement,
 usually far below the raw bound (readout flips do not enter it at all).
@@ -81,12 +82,12 @@ class ResourceEstimate:
     density_bytes_per_shot: int
     tableau_bytes_per_shot: int
     branch_bound: int
-    """Raw exact-integration leaf count — the scalar reference path (dead
-    records merged, readout flips quadrupling live measurements), capped
-    at :data:`BRANCH_BOUND_CAP`."""
+    """Raw exact-integration leaf count of a branch-by-branch enumeration
+    (dead records merged, readout flips quadrupling live measurements),
+    capped at :data:`BRANCH_BOUND_CAP`."""
     branch_bound_capped: bool
     merged_branch_bound: int
-    """Peak frontier width of the default (vectorized) integrator after
+    """Peak frontier width of the frontier integrator after
     live-parity merging — ``DensityRun.branches`` equals it exactly on
     noiseless patterns.  Also capped at :data:`BRANCH_BOUND_CAP`."""
     merged_branch_bound_capped: bool

@@ -40,12 +40,13 @@ consumer of a long job reads outcome records.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -57,12 +58,15 @@ from repro.exec.faults import (
     raise_in_process,
 )
 from repro.mbqc.backend import SampleRun, get_backend, select_backend
+from repro.mbqc.channels import as_channel_model
 from repro.mbqc.compile import CompiledPattern
 from repro.mbqc.pattern import PatternError
+from repro.mbqc.serialize import noise_model_to_dict
 from repro.utils.rng import SeedLike, ensure_rng, spawn_seeds
 
 #: On-disk format version shared by the manifest and block headers.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Version 2: the job fingerprint covers every op field and the noise model.
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Default shots per block — small enough that a crash loses little work,
 #: large enough that per-block engine dispatch overhead stays negligible.
@@ -116,6 +120,34 @@ def _seed_entropy(seed: SeedLike) -> int:
     return int(entropy)
 
 
+def _feed(h, value) -> None:
+    """Hash ``value`` unambiguously: arrays by dtype, shape and bytes,
+    dataclasses (ops, measurement bases) field by field, floats exactly."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, np.ndarray):
+        arr = np.ascontiguousarray(value)
+        h.update(f"a{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        h.update(f"d{type(value).__name__}(".encode())
+        for f in dataclasses.fields(value):
+            h.update(f"{f.name}=".encode())
+            _feed(h, getattr(value, f.name))
+        h.update(b")")
+    elif isinstance(value, (tuple, list)):
+        h.update(f"t{len(value)}(".encode())
+        for item in value:
+            _feed(h, item)
+        h.update(b")")
+    elif isinstance(value, float):
+        h.update(f"f{value.hex()};".encode())
+    elif isinstance(value, complex):
+        h.update(f"c{value.real.hex()},{value.imag.hex()};".encode())
+    else:
+        h.update(f"{type(value).__name__}:{value!r};".encode())
+
+
 def job_fingerprint(
     compiled: CompiledPattern,
     *,
@@ -123,12 +155,21 @@ def job_fingerprint(
     block_shots: int,
     seed_entropy: int,
     backend: str,
-    noisy: bool,
+    noise: Optional[object] = None,
 ) -> str:
-    """SHA-256 identity of a job: the program shape, the sampling
+    """SHA-256 identity of a job: every field of every compiled op (angles,
+    bases, Kraus operators, flip probabilities — arrays by dtype, shape and
+    bytes), the canonical JSON of the noise model
+    (:func:`~repro.mbqc.serialize.noise_model_to_dict`), the sampling
     parameters, and the concrete seed.  Two calls agree on the fingerprint
     iff their record streams are interchangeable, so a resume under
     changed parameters is refused instead of merging foreign blocks."""
+    model = as_channel_model(noise)
+    noise_json = json.dumps(
+        noise_model_to_dict(model) if model is not None else None,
+        sort_keys=True,
+        separators=(",", ":"),
+    )
     h = hashlib.sha256()
     parts = [
         f"v{CHECKPOINT_FORMAT_VERSION}",
@@ -136,16 +177,16 @@ def job_fingerprint(
         f"block_shots={block_shots}",
         f"seed={seed_entropy}",
         f"backend={backend}",
-        f"noisy={int(noisy)}",
+        f"noise={noise_json}",
         f"inputs={compiled.input_nodes}",
         f"outputs={compiled.output_nodes}",
         f"measured={compiled.measured_nodes}",
         f"out_perm={compiled.out_perm}",
-        f"ops={tuple(type(op).__name__ for op in compiled.ops)}",
     ]
     for part in parts:
         h.update(part.encode())
         h.update(b"\x00")
+    _feed(h, compiled.ops)
     return h.hexdigest()
 
 
@@ -338,7 +379,8 @@ def run_checkpointed(
     (site ``"block-file"``) — production callers leave it ``None``.
 
     ``sample_kwargs`` is forwarded to every per-block ``sample_batch``
-    call (e.g. ``vectorize``/``max_block_bytes`` knobs); ``keep_raw`` is
+    call (e.g. the density and MPS engines' ``max_block_bytes`` chunk
+    budget); ``keep_raw`` is
     rejected because jobs persist outcome records only.  ``cli_meta`` is
     an opaque dict stored in the manifest (the CLI keeps its arguments
     there so ``repro run --resume JOBDIR`` can rebuild the program).
@@ -368,7 +410,7 @@ def run_checkpointed(
             block_shots=block_shots,
             seed_entropy=entropy,
             backend=backend_name,
-            noisy=noise is not None,
+            noise=noise,
         )
         manifest = {
             "version": CHECKPOINT_FORMAT_VERSION,
@@ -396,7 +438,7 @@ def run_checkpointed(
             block_shots=block_shots,
             seed_entropy=entropy,
             backend=backend_name,
-            noisy=noise is not None,
+            noise=noise,
         )
         if fingerprint != manifest.get("fingerprint"):
             raise PatternError(

@@ -181,7 +181,7 @@ def supervised_integrate(
     backend = get_backend("density")
 
     compiled, plan, row = backend._integration_setup(
-        compiled, noise, input_state, max_branches, True
+        compiled, noise, input_state, max_branches
     )
     report = SupervisionReport(shards=shards)
 

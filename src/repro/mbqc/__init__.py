@@ -68,11 +68,10 @@ from repro.mbqc.density_backend import (
 from repro.mbqc.runner import (
     PatternResult,
     pattern_to_matrix,
-    pattern_to_matrix_sequential,
     run_pattern,
 )
 from repro.mbqc.flow import OpenGraph, find_causal_flow, find_gflow
-from repro.mbqc.noise import NoiseModel, average_fidelity, run_pattern_noisy
+from repro.mbqc.noise import NoiseModel, average_fidelity
 from repro.mbqc.extract import ExtractionError, extract_circuit, extractable
 from repro.mbqc.serialize import (
     channel_from_dict,
@@ -126,14 +125,12 @@ __all__ = [
     "register_backend",
     "select_backend",
     "pattern_to_matrix",
-    "pattern_to_matrix_sequential",
     "run_pattern",
     "OpenGraph",
     "find_causal_flow",
     "find_gflow",
     "NoiseModel",
     "average_fidelity",
-    "run_pattern_noisy",
     "ExtractionError",
     "extract_circuit",
     "extractable",

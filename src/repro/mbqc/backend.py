@@ -24,10 +24,9 @@ Both engines vectorize ``sample_batch`` across the shot block: the dense
 engine over a :class:`~repro.sim.statevector.BatchedStateVector`, the
 stabilizer engine over a bit-packed
 :class:`~repro.stab.batched.BatchedTableau` (one shared GF(2) structure,
-per-shot packed sign bits) with a retained per-shot loop
-(``vectorize=False``) that consumes the identical whole-block draw
-schedule — seeded trajectories are bit-identical between the two stabilizer
-paths (benchmark E22).
+per-shot packed sign bits; benchmark E22).  Each engine has one sampling
+path; every entry point is certified against one naive dense-matrix
+oracle by the differential harness in ``tests/test_oracle_differential.py``.
 
 Noise enters as a compile-time channel program
 (:func:`repro.mbqc.compile.lower_noise` weaves ``ChannelOp``s and readout
@@ -769,12 +768,11 @@ class StabilizerBackend:
         """Execute one trajectory/branch on one (preallocated) tableau.
 
         ``forced`` pins outcomes for the nodes it contains; the rest are
-        sampled through ``draws`` (a :class:`_ShotDrawTable` view for
-        batch-applicable programs, :class:`_GeneratorDraws` otherwise —
-        branch runs, which force everything and are noiseless-checked, pass
-        ``None``).  Replays the compiled slot dynamics against monotonically
-        assigned tableau columns: ``slot_cols[s]`` is the column of the node
-        currently in slot ``s``.
+        sampled through ``draws`` (a :class:`_GeneratorDraws` on the
+        per-shot sampler; branch runs, which force everything and are
+        noiseless-checked, pass ``None``).  Replays the compiled slot
+        dynamics against monotonically assigned tableau columns:
+        ``slot_cols[s]`` is the column of the node currently in slot ``s``.
         """
         next_col = compiled.num_inputs
         slot_cols = list(range(next_col))
@@ -872,28 +870,23 @@ class StabilizerBackend:
         forced_outcomes: Optional[Mapping[int, int]] = None,
         noise: Optional[object] = None,
         keep_raw: bool = False,
-        vectorize: Optional[bool] = None,
     ) -> SampleRun:
         """Sample ``n_shots`` trajectories, vectorized across the shot block.
 
-        The default path advances one :class:`~repro.stab.batched
-        .BatchedTableau` — a shared bit-packed GF(2) structure with per-shot
-        packed sign bits — through a single compiled-op sweep (the tableau
-        analogue of the dense engine's ``measure_sampled``/
-        ``apply_1q_masked`` sweep).  ``vectorize=False`` forces the retained
-        per-shot loop; ``None`` falls back to it automatically when the
-        program cannot be batch-applied (empty register, a non-Pauli
-        conditional word, or a measurement whose effective bases span
-        several Pauli axes).  Both paths consume the parent generator
-        through the same sequence of whole-block vector draws, so seeded
-        trajectories are **bit-identical** between them (benchmark E22
-        asserts this).
+        Advances one :class:`~repro.stab.batched.BatchedTableau` — a shared
+        bit-packed GF(2) structure with per-shot packed sign bits — through
+        a single compiled-op sweep (the tableau analogue of the dense
+        engine's ``measure_sampled``/``apply_1q_masked`` sweep).  Programs
+        the batched tableau cannot execute (an empty register, or a
+        hand-built op stream with a non-Pauli conditional word or a
+        measurement whose effective bases span several Pauli axes — see
+        :func:`_batch_applicable`) run on a per-shot loop instead, drawing
+        straight from the generator; the program alone picks the path.
 
         ``keep_raw`` (default off) controls whether per-shot outputs are
-        retained: the vectorized path keeps them as O(n_out)-per-shot
+        retained: the batched sweep keeps them as O(n_out)-per-shot
         :class:`PackedStabilizerOutput` views into one shared extraction,
-        the loop path as full :class:`StabilizerOutput` tableaus
-        (O(shots · n²) — the historical memory sink this flag retires).
+        the per-shot loop as full :class:`StabilizerOutput` tableaus.
         """
         _check_n_shots(n_shots, self.name)
         rng = ensure_rng(rng)
@@ -905,26 +898,15 @@ class StabilizerBackend:
         if n_shots == 0:
             return _empty_sample_run(compiled, keep_raw)
         n_total = self._total_nodes(compiled)
-        eligible = n_total > 0 and _batch_applicable(compiled)
-        if vectorize is None:
-            vectorize = eligible
-        elif vectorize and not eligible:
-            raise PatternError(
-                f"the {self.name} engine cannot vectorize this program "
-                f"(empty register, a non-Pauli conditional, or a measurement "
-                f"whose effective bases span several Pauli axes); pass "
-                f"vectorize=None for automatic fallback to the per-shot loop"
-            )
-        if vectorize:
+        if n_total > 0 and _batch_applicable(compiled):
             return self._sample_batch_vectorized(
                 compiled, n_shots, rng, row, forced, keep_raw, n_total
             )
-        return self._sample_batch_loop(
-            compiled, n_shots, rng, row, forced, keep_raw, n_total,
-            shared_table=eligible,
+        return self._sample_per_shot(
+            compiled, n_shots, rng, row, forced, keep_raw, n_total
         )
 
-    def _sample_batch_loop(
+    def _sample_per_shot(
         self,
         compiled: CompiledPattern,
         n_shots: int,
@@ -933,28 +915,17 @@ class StabilizerBackend:
         forced: Mapping[int, int],
         keep_raw: bool,
         n_total: int,
-        shared_table: bool = True,
     ) -> SampleRun:
-        """Retained per-shot reference sampler: one scalar tableau per shot.
-
-        For batch-applicable programs (``shared_table=True``) randomness
-        comes from the same lazily-drawn vector table the vectorized path
-        consumes (one ``(n_shots,)`` draw per randomness-consuming op, in op
-        order — the schedule is shot-independent because it is a property of
-        the shared GF(2) structure), so the two paths produce bit-identical
-        seeded trajectories.  Programs the batched tableau cannot execute
-        (e.g. a hand-built non-Pauli conditional, whose firing diverges the
-        X/Z structure per shot and with it the draw schedule) fall back to
-        plain per-shot scalar draws in the historical order.
+        """Per-shot sampler for programs the batched tableau rejects: one
+        scalar tableau per shot, plain per-shot generator draws.  A
+        non-Pauli conditional diverges the X/Z structure per shot (and with
+        it which later measurements are random), so the draw schedule is
+        shot-dependent and sequential draws are the only correct contract.
         """
-        draws = (
-            _ShotDrawTable(rng, n_shots) if shared_table
-            else _GeneratorDraws(rng)
-        )
+        draws = _GeneratorDraws(rng)
         raw: List[StabilizerOutput] = []
         outs = np.zeros((n_shots, len(compiled.measured_nodes)), dtype=np.int8)
         for j in range(n_shots):
-            draws.start_shot(j)
             st, log2_w = self._init_tableau(compiled, row, n_total)
             out, outcomes = self._run_one(compiled, st, log2_w, draws, forced)
             if keep_raw:
@@ -1100,10 +1071,9 @@ def draw_pauli_fault(op: ChannelOp, rng) -> Optional[int]:
     ``(n_shots,)`` vector draw per channel op with a fixed threshold
     layout — which is a *different* stream by design: a scalar trajectory
     and element ``j`` of a batched run agree in distribution but not bit
-    for bit.  Within the batched world the contract is strict: the
-    vectorized sweep and the per-shot loop in
-    :meth:`StabilizerBackend.sample_batch` share the identical vector-draw
-    schedule and are bit-identical for a given seed."""
+    for bit.  Within the batched world the contract is strict: every
+    chunking of a batched sweep consumes the identical vector-draw
+    schedule and is bit-identical for a given seed."""
     _, px, py, pz = _require_pauli_channel(op)
     if px == py == pz:
         # Uniform (depolarizing) mixture: keep the historical draw pattern
@@ -1149,8 +1119,7 @@ def draw_pauli_fault_batch(
 
 
 def _draw_outcomes(rng, n_shots: int) -> np.ndarray:
-    """One whole-block outcome draw — the shared call both stabilizer
-    sampling paths make, in the same op order, for bit-identical streams."""
+    """One whole-block outcome draw of the batched stabilizer sweep."""
     return rng.integers(2, size=n_shots)
 
 
@@ -1160,26 +1129,18 @@ def _draw_flips(rng, n_shots: int, p: float) -> np.ndarray:
 
 
 class _ShotDrawTable:
-    """Lazily drawn ``(n_shots,)`` randomness vectors shared across shots.
+    """Lazily drawn ``(n_shots,)`` randomness vectors shared across chunks.
 
-    The per-shot loop pulls its randomness through this table: the first
-    shot to need the ``k``-th random quantity triggers one whole-block
-    vector draw (via the same ``_draw_*``/``draw_pauli_fault_batch`` calls
-    the vectorized sweep makes), later shots index into it.  Because the
-    draw schedule of a Clifford program is shot-independent — which
-    measurements are random, which ops flip or fault, is a property of the
-    shared GF(2) structure — the first shot's encounter order equals the
-    vectorized sweep's op order, making the two samplers consume the
-    parent generator identically and produce bit-identical trajectories.
-
-    The density engine shares this table between *its* two sampling paths
-    (whose schedule is trivially shot-independent: channels are exact, so
-    only measurements and readout flips consume randomness): the per-shot
-    reference loop reads scalars (:meth:`uniform`/:meth:`flip`), the
-    chunked vectorized sweep reads the same whole-block vectors
-    (:meth:`uniform_vec`/:meth:`flip_vec` after :meth:`start_pass`) and
-    slices out its shot range — so seeded trajectories are bit-identical
-    between paths *and* across chunk sizes.
+    A chunked sweep (the density and MPS samplers) pulls its randomness
+    through this table: the first chunk to need the ``k``-th random
+    quantity triggers one whole-block vector draw, later chunks replay the
+    schedule from the top (:meth:`start_pass`) and slice out their shot
+    range.  The schedule of these engines is shot-independent (only
+    unpinned measurements, readout flips and Pauli channels consume
+    randomness, in op order), so seeded records are bit-identical across
+    chunk sizes — and, because the table follows the dense engine's draw
+    conventions, bit-identical to the statevector engine on any
+    channel-free program.
     """
 
     def __init__(self, rng, n_shots: int):
@@ -1187,16 +1148,11 @@ class _ShotDrawTable:
         self._n = n_shots
         self._vecs: List[np.ndarray] = []
         self._kinds: List[object] = []
-        self._shot = 0
-        self._cursor = 0
-
-    def start_shot(self, shot: int) -> None:
-        self._shot = shot
         self._cursor = 0
 
     def start_pass(self) -> None:
-        """Begin a whole-block consumption pass (one chunk of a vectorized
-        sweep): block accessors replay the schedule from the top."""
+        """Begin a whole-block consumption pass (one chunk of a sweep):
+        accessors replay the schedule from the top."""
         self._cursor = 0
 
     def _pull_vec(self, kind, drawer) -> np.ndarray:
@@ -1207,27 +1163,10 @@ class _ShotDrawTable:
             self._kinds.append(kind)
         elif self._kinds[k] != kind:  # pragma: no cover - schedule invariant
             raise RuntimeError(
-                "per-shot draw schedule diverged across shots; the draw "
-                "schedule should be a property of the shared structure"
+                "draw schedule diverged across chunks; the draw schedule "
+                "should be a property of the op stream"
             )
         return self._vecs[k]
-
-    def _pull(self, kind, drawer):
-        return self._pull_vec(kind, drawer)[self._shot]
-
-    def outcome(self) -> int:
-        return int(self._pull("outcome", lambda: _draw_outcomes(self._rng, self._n)))
-
-    def flip(self, p: float) -> bool:
-        return bool(
-            self._pull(("flip", p), lambda: _draw_flips(self._rng, self._n, p))
-        )
-
-    def uniform(self) -> float:
-        """One uniform deviate for the current shot (Born-rule outcome
-        draws with non-1/2 probabilities; cf. the stabilizer engine's
-        :meth:`outcome`, whose random outcomes are exact coin flips)."""
-        return float(self._pull("uniform", lambda: self._rng.random(self._n)))
 
     def uniform_vec(self) -> np.ndarray:
         """The whole ``(n_shots,)`` uniform block at this schedule slot."""
@@ -1239,22 +1178,9 @@ class _ShotDrawTable:
             ("flip", p), lambda: _draw_flips(self._rng, self._n, p)
         )
 
-    def fault(self, op: ChannelOp) -> int:
-        """Fault index for the current shot (-1 = identity)."""
-        _, px, py, pz = _require_pauli_channel(op)
-        if px + py + pz <= 0.0:
-            return -1  # no randomness consumed, matching the batch draw
-        return int(
-            self._pull(
-                ("fault", op.label),
-                lambda: draw_pauli_fault_batch(op, self._rng, self._n),
-            )
-        )
-
     def fault_vec(self, op: ChannelOp) -> Optional[np.ndarray]:
         """The whole ``(n_shots,)`` fault block at this slot (``None`` when
-        the channel is weightless and consumes no randomness) — same kind
-        key as :meth:`fault`, so scalar and block readers share one draw."""
+        the channel is weightless and consumes no randomness)."""
         _, px, py, pz = _require_pauli_channel(op)
         if px + py + pz <= 0.0:
             return None
@@ -1267,18 +1193,15 @@ class _ShotDrawTable:
 class _GeneratorDraws:
     """Per-shot scalar draws straight from the generator, historical order.
 
-    The draw source for per-shot loops over programs the batched tableau
-    cannot execute: their draw schedule may be *shot-dependent* (a
-    non-Pauli conditional diverges the X/Z structure per shot, changing
-    which later measurements are random), so the shared vector table's
-    schedule invariant does not hold and plain sequential draws are the
+    The draw source for the stabilizer engine's per-shot loop over programs
+    the batched tableau cannot execute: their draw schedule may be
+    *shot-dependent* (a non-Pauli conditional diverges the X/Z structure
+    per shot, changing which later measurements are random), so no
+    whole-block vector table applies and plain sequential draws are the
     only correct contract."""
 
     def __init__(self, rng):
         self._rng = rng
-
-    def start_shot(self, shot: int) -> None:
-        pass
 
     def outcome(self) -> int:
         return int(self._rng.integers(2))
@@ -1330,7 +1253,7 @@ def _batch_applicable(compiled: CompiledPattern) -> bool:
     the adaptive part reduces to the flip bit.  All compiler-produced
     Clifford programs qualify (corrections lower to X/Z, and negating an
     angle or adding π preserves a Pauli axis); the guard protects against
-    hand-built op streams, which fall back to the per-shot loop."""
+    hand-built op streams, which run on the per-shot loop."""
     for op in compiled.ops:
         tp = type(op)
         if tp is MeasureOp:

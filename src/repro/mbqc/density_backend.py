@@ -9,9 +9,9 @@ an exact Kraus map.  Three execution modes:
   measurement outcomes but *exact* channels (each shot's output is the
   conditional mixed state given its outcome record), vectorized across the
   shot block over a :class:`~repro.sim.density_batched.BatchedDensityMatrix`
-  (chunked against a byte budget; a retained per-shot loop shares the
-  identical whole-block draw schedule, so seeded trajectories are
-  bit-identical between paths — benchmark E23).
+  (chunked against a byte budget; every chunk replays one whole-block draw
+  schedule, so seeded records are bit-identical across chunk sizes —
+  benchmark E23).
 - :meth:`DensityMatrixBackend.run_branch_batch` /
   :meth:`~DensityMatrixBackend.run_branch_choi` — one forced outcome
   branch, exactly; readout flips make the branch state a two-term mixture
@@ -32,9 +32,11 @@ an exact Kraus map.  Three execution modes:
   merging, :func:`repro.mbqc.compile.signal_liveness`) — so cost scales
   with the number of distinguishable future-read parity patterns, not
   raw ``2^m``.  ``shards=N`` splits the post-prefix frontier across
-  worker processes; ``vectorize=False`` retains the scalar recursive
-  reference (merging only dead records), which the frontier path is
-  certified against.
+  worker processes.
+
+Every entry point is certified against one deliberately naive
+dense-matrix oracle (``tests/oracle.py``) by the differential harness in
+``tests/test_oracle_differential.py``.
 
 Everything dispatches over the same compiled op stream as the other
 engines — noise enters through :func:`repro.mbqc.compile.lower_noise`, so
@@ -51,7 +53,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.linalg.gates import CZ
 from repro.mbqc.backend import (
     BranchRun,
     SampleRun,
@@ -164,12 +165,10 @@ class DensityOutput:
 class DensityRun:
     """Result of exact channel integration over all outcome branches.
 
-    ``rho`` is the exact noisy output state; ``branches`` counts the
-    branch work actually done — the peak post-merge frontier width on the
-    default vectorized path, or the leaves explored by the retained scalar
-    recursion (``vectorize=False``), whose count matches the raw
-    per-measurement product bound.  Pruning is observable instead of
-    silent: ``trace`` is ``Tr ρ`` as integrated (1.0 exactly when nothing
+    ``rho`` is the exact noisy output state; ``branches`` is the peak
+    post-merge frontier width, the branch work actually done (with
+    ``shards``, the sum of the shard peaks).  Pruning is observable instead
+    of silent: ``trace`` is ``Tr ρ`` as integrated (1.0 exactly when nothing
     was pruned, up to float error) and ``dropped_weight`` is the total
     probability mass of branches discarded by ``prune_tol``, so
     ``trace + dropped_weight ≈ 1``.
@@ -248,17 +247,6 @@ def _frontier_plan(compiled: CompiledPattern) -> _FrontierPlan:
         dead=lv.dead,
         merged_bound=lv.merged_bound,
     )
-
-
-def _raw_branch_bound(ops: Tuple[object, ...], dead: Tuple[bool, ...]) -> int:
-    """Scalar-path leaf count: the per-measurement product bound (2 per
-    live record, 4 with readout flips) that the frontier's merged bound
-    replaces.  The resource estimator reports both."""
-    bound = 1
-    for i, op in enumerate(ops):
-        if type(op) is MeasureOp and not dead[i]:
-            bound *= 4 if op.flip_p > 0.0 else 2
-    return bound
 
 
 @dataclass
@@ -366,8 +354,8 @@ def _frontier_measure(
     if op.flip_p > 0.0:
         # A flipped child's recorded bit equals its sibling's, so both
         # flip contributions land on an already-existing child: mix the
-        # sibling pair in place instead of branching — readout flips cost
-        # nothing here, where the scalar path pays 4^m.
+        # sibling pair in place instead of branching — readout flips add
+        # no frontier width.
         zero = traces < prune_tol
         dropped += float(traces[zero].sum())
         if zero.any():
@@ -743,30 +731,29 @@ class DensityMatrixBackend:
         forced_outcomes: Optional[Mapping[int, int]] = None,
         noise: Optional[object] = None,
         keep_raw: bool = False,
-        vectorize: bool = True,
         max_block_bytes: Optional[int] = None,
     ) -> SampleRun:
         """Sample ``n_shots`` trajectories (exact channels, sampled
         outcomes), vectorized across the shot block.
 
-        The default path advances one
+        Advances one
         :class:`~repro.sim.density_batched.BatchedDensityMatrix` — ``B``
         whole per-shot density tensors — through a single compiled-op sweep
         (:attr:`CompiledPattern.grouped_ops`), chunking the shot block so
         the resident ``B · 4^max_live`` tensor stays under
         ``max_block_bytes`` (default :data:`DENSITY_BATCH_MAX_BYTES`;
         kernel temporaries transiently add ~2x on top of the budget).
-        ``vectorize=False`` keeps the per-shot scalar loop.  Both paths —
-        and every chunking of the vectorized one — consume the parent
-        generator through the same whole-block draw schedule (one uniform
-        vector per unpinned measurement, one flip vector per noisy readout,
-        in op order), so seeded trajectories are **bit-identical** between
-        them (benchmark E23 asserts this).  The two paths are deliberately
-        *distinct implementations* (scalar tensordot chain vs batched
-        einsum) cross-checking each other, so the record identity rests on
-        their Born probabilities agreeing to well under one uniform-deviate
-        ULP — exact chunking invariance, by contrast, holds by construction
-        (same kernels, per-shot-independent contractions).
+        Per-shot divergence — adaptive bases, sampled outcomes, conditional
+        corrections, readout flips — rides the batch axis (per-shot basis
+        gathers, masked 1q conjugations); channels apply once per chunk as
+        exact Kraus maps.
+
+        Every chunk consumes the parent generator through the same
+        whole-block draw schedule (one uniform vector per unpinned
+        measurement, one flip vector per noisy readout, in op order) and
+        slices out its shot range, so seeded records are **bit-identical**
+        across chunk sizes by construction (same kernels,
+        per-shot-independent contractions; benchmark E23 asserts this).
 
         Mixed trajectory outputs have no state vector, so the raw density
         matrices ARE the usable output — but the protocol-wide default
@@ -784,100 +771,8 @@ class DensityMatrixBackend:
         if n_shots == 0:
             return _empty_sample_run(compiled, keep_raw)
         # Channels are exact, so the draw schedule is shot-independent by
-        # construction: both paths share one whole-block vector table.
+        # construction: every chunk reads one whole-block vector table.
         draws = _ShotDrawTable(rng, n_shots)
-        if vectorize:
-            return self._sample_batch_vectorized(
-                compiled, n_shots, row, forced, draws, keep_raw,
-                max_block_bytes,
-            )
-        return self._sample_batch_loop(
-            compiled, n_shots, row, forced, draws, keep_raw
-        )
-
-    def _sample_batch_loop(
-        self,
-        compiled: CompiledPattern,
-        n_shots: int,
-        row: np.ndarray,
-        forced: Mapping[int, int],
-        draws: _ShotDrawTable,
-        keep_raw: bool,
-    ) -> SampleRun:
-        """Retained per-shot reference sampler: one scalar density matrix
-        per shot, randomness via the shared whole-block draw table."""
-        raw: List[DensityOutput] = []
-        outs = np.zeros((n_shots, len(compiled.measured_nodes)), dtype=np.int8)
-        for j in range(n_shots):
-            draws.start_shot(j)
-            rho = DensityMatrix.from_pure(row)
-            live = compiled.num_inputs
-            outcomes: Dict[int, int] = {}
-            for op in compiled.ops:
-                tp = type(op)
-                if tp is PrepOp:
-                    rho.add_qubit(op.state, position=live)
-                    live += 1
-                elif tp is EntangleOp:
-                    rho.apply_2q(CZ, *op.slots)
-                elif tp is ChannelOp:
-                    rho.apply_kraus(op.kraus, op.slot, check=False)
-                elif tp is MeasureOp:
-                    s = signal_parity(outcomes, op.s_domain)
-                    t = signal_parity(outcomes, op.t_domain)
-                    basis = op.bases[s + 2 * t]
-                    pinned = forced.get(op.node)
-                    u = draws.uniform() if pinned is None else None
-                    try:
-                        out, _prob = rho.measure(
-                            op.slot, basis, u=u, force=pinned
-                        )
-                    except ValueError:
-                        if pinned is None:
-                            raise
-                        raise ZeroProbabilityBranch(
-                            f"forced outcome {pinned} on node {op.node} has "
-                            f"probability ~0"
-                        ) from None
-                    if op.flip_p > 0.0 and draws.flip(op.flip_p):
-                        out ^= 1  # readout flip corrupts downstream adaptivity
-                    outcomes[op.node] = out
-                    live -= 1
-                elif tp is ConditionalOp:
-                    if signal_parity(outcomes, op.domain):
-                        rho.apply_1q(op.matrix, op.slot)
-                else:  # UnitaryOp
-                    rho.apply_1q(op.matrix, op.slot)
-            if keep_raw:
-                rho.permute(compiled.out_perm)
-                raw.append(DensityOutput(rho, 1.0))
-            for i, node in enumerate(compiled.measured_nodes):
-                outs[j, i] = outcomes[node]
-        return SampleRun(
-            nodes=compiled.measured_nodes,
-            outcomes=outs,
-            raw=tuple(raw) if keep_raw else None,
-        )
-
-    def _sample_batch_vectorized(
-        self,
-        compiled: CompiledPattern,
-        n_shots: int,
-        row: np.ndarray,
-        forced: Mapping[int, int],
-        draws: _ShotDrawTable,
-        keep_raw: bool,
-        max_block_bytes: Optional[int],
-    ) -> SampleRun:
-        """One compiled-op sweep per shot chunk over a batched density block.
-
-        Per-shot divergence — adaptive bases, sampled outcomes, conditional
-        corrections, readout flips — rides the batch axis (per-shot basis
-        gathers, masked 1q conjugations); channels apply once per chunk as
-        exact Kraus maps.  Each chunk replays the draw schedule from the
-        top (``start_pass``) and slices its shot range out of the shared
-        whole-block vectors, so records are seed-identical to the unchunked
-        block and to the per-shot loop."""
         chunk = _chunk_elements(n_shots, compiled.max_live, max_block_bytes)
         outs = np.zeros((n_shots, len(compiled.measured_nodes)), dtype=np.int8)
         raw: List[DensityOutput] = []
@@ -952,7 +847,6 @@ class DensityMatrixBackend:
         input_state: Optional[np.ndarray] = None,
         prune_tol: float = _ZERO_PROB,
         max_branches: int = DENSITY_MAX_BRANCHES,
-        vectorize: bool = True,
         max_block_bytes: Optional[int] = None,
         shards: int = 1,
     ) -> DensityRun:
@@ -964,7 +858,7 @@ class DensityMatrixBackend:
         :func:`~repro.mbqc.channels.as_channel_model` accepts; the program
         may also already carry lowered channels).
 
-        The default path is the batched **frontier** integrator: all live
+        The engine is the batched **frontier** integrator: all live
         branches advance level-by-level in one stacked density tensor
         (kernel temporaries chunked under ``max_block_bytes``, default
         :data:`DENSITY_BATCH_MAX_BYTES`), and after every measurement,
@@ -975,31 +869,21 @@ class DensityMatrixBackend:
         the raw ``2^m``.  ``shards=N`` forks the frontier across ``N``
         worker processes once it is at least ``N`` wide — opt-in, and
         deterministic because integration draws no randomness.
-        ``vectorize=False`` retains the scalar recursive reference (merges
-        dead records only, explores the raw bound, ``shards`` not
-        supported), which the frontier path is certified against (E24).
 
         Branches whose weight falls below ``prune_tol`` are dropped — the
         lost mass is reported as ``DensityRun.dropped_weight``, never
-        silently folded in.  The static branch bound for the chosen path
-        must stay within ``max_branches`` (R102).
+        silently folded in.  The merged bound must stay within
+        ``max_branches`` (R102).
         """
         shards = int(shards)
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if shards > 1 and not vectorize:
-            raise PatternError(
-                "shards requires the vectorized frontier integrator; drop "
-                "shards or drop vectorize=False"
-            )
         compiled, plan, row = self._integration_setup(
-            compiled, noise, input_state, max_branches, vectorize
+            compiled, noise, input_state, max_branches
         )
-        if vectorize:
-            return self._integrate_frontier(
-                compiled, plan, row, prune_tol, max_block_bytes, shards
-            )
-        return self._integrate_scalar(compiled, plan, row, prune_tol)
+        return self._integrate_frontier(
+            compiled, plan, row, prune_tol, max_block_bytes, shards
+        )
 
     def _integration_setup(
         self,
@@ -1007,7 +891,6 @@ class DensityMatrixBackend:
         noise: Optional[object],
         input_state: Optional[np.ndarray],
         max_branches: int = DENSITY_MAX_BRANCHES,
-        vectorize: bool = True,
     ) -> Tuple[CompiledPattern, _FrontierPlan, np.ndarray]:
         """Shared front half of exact integration: lower ``noise``, check
         reach and the R102 branch bound, and normalize the input row.
@@ -1018,17 +901,13 @@ class DensityMatrixBackend:
             compiled = lower_noise(compiled, noise)
         self._require_reach(compiled)
         plan = _frontier_plan(compiled)
-        raw_bound = _raw_branch_bound(compiled.ops, plan.dead)
-        bound = plan.merged_bound if vectorize else raw_bound
-        if bound > max_branches:
+        if plan.merged_bound > max_branches:
             raise PatternError(
                 f"R102: exact integration would explore > {max_branches} "
                 f"outcome branches (merged frontier bound "
-                f"{plan.merged_bound}, raw scalar bound {raw_bound}); "
-                f"reduce the pattern's measured set (or, on the scalar "
-                f"path, its readout-flip noise), raise max_branches, or "
-                f"estimate by trajectories instead "
-                f"(repro.analysis.estimate_compiled reports both bounds)"
+                f"{plan.merged_bound}); reduce the pattern's measured set, "
+                f"raise max_branches, or estimate by trajectories instead "
+                f"(repro.analysis.estimate_compiled reports the bound)"
             )
         row = _input_row(compiled, input_state)
         row = row / np.linalg.norm(row)
@@ -1096,86 +975,6 @@ class DensityMatrixBackend:
             # (or the prefix peak, whichever is larger).
             branches = max(state.peak, sum(peak for _, peak, _ in results))
             dropped = state.dropped + sum(d for _, _, d in results)
-        return self._finish_run(compiled, acc, branches, dropped)
-
-    def _integrate_scalar(
-        self,
-        compiled: CompiledPattern,
-        plan: _FrontierPlan,
-        row: np.ndarray,
-        prune_tol: float,
-    ) -> DensityRun:
-        """Retained scalar reference integrator: recursive depth-first
-        branch exploration, one :class:`DensityMatrix` at a time, merging
-        dead records only — the independent implementation the frontier
-        path is certified against."""
-        ops = compiled.ops
-        dead = plan.dead
-        acc: Optional[np.ndarray] = None
-        branches = 0
-        dropped = 0.0
-
-        def finalize(rho: DensityMatrix) -> None:
-            nonlocal acc, branches
-            rho.permute(compiled.out_perm)
-            acc = rho._t if acc is None else acc + rho._t
-            branches += 1
-
-        def rec(start: int, rho: DensityMatrix, outcomes: Dict[int, int],
-                live: int) -> None:
-            # ``rho`` is owned by this frame and unnormalized: its trace is
-            # the branch weight accumulated so far.
-            nonlocal dropped
-            for idx in range(start, len(ops)):
-                op = ops[idx]
-                tp = type(op)
-                if tp is PrepOp:
-                    rho.add_qubit(op.state, position=live)
-                    live += 1
-                elif tp is EntangleOp:
-                    rho.apply_2q(CZ, *op.slots)
-                elif tp is ChannelOp:
-                    rho.apply_kraus(op.kraus, op.slot, check=False)
-                elif tp is ConditionalOp:
-                    if signal_parity(outcomes, op.domain):
-                        rho.apply_1q(op.matrix, op.slot)
-                elif tp is UnitaryOp:
-                    rho.apply_1q(op.matrix, op.slot)
-                else:  # MeasureOp — the branch point
-                    s = signal_parity(outcomes, op.s_domain)
-                    t = signal_parity(outcomes, op.t_domain)
-                    basis = op.bases[s + 2 * t]
-                    if dead[idx]:
-                        # Record never read: the sum of both outcome
-                        # projections is the partial trace (in *any*
-                        # basis), so retire the qubit in place instead of
-                        # doubling the branch tree.
-                        rho.partial_trace(op.slot)
-                        outcomes[op.node] = 0  # dead record, never read
-                        live -= 1
-                        continue
-                    for o in (0, 1):
-                        dm, p = rho.measure_project(op.slot, basis, o)
-                        if p < prune_tol:
-                            dropped += p
-                            continue
-                        if op.flip_p > 0.0:
-                            f = op.flip_p
-                            for r, fw in ((o, 1.0 - f), (o ^ 1, f)):
-                                if fw <= 0.0:
-                                    continue
-                                child = DensityMatrix(tensor=dm._t * fw)
-                                rec(idx + 1, child, {**outcomes, op.node: r},
-                                    live - 1)
-                        else:
-                            rec(idx + 1, dm, {**outcomes, op.node: o},
-                                live - 1)
-                    return
-            finalize(rho)
-
-        rec(0, DensityMatrix.from_pure(row), {}, compiled.num_inputs)
-        if acc is None:  # pragma: no cover - defensive (trace sums to 1)
-            raise PatternError("every outcome branch was pruned")
         return self._finish_run(compiled, acc, branches, dropped)
 
     def _finish_run(

@@ -7,19 +7,18 @@ dimension instead of ``2^max_live`` — bounded-entanglement patterns
 measured non-Clifford nodes, a workload none of the dense engines can
 touch.
 
-Sampling follows the PR 5 byte-budget discipline: per-shot MPS chains are
-too large to keep thousands resident, so the default ``vectorize=True``
-path sweeps the op stream over *chunks* of resident shots under
+Sampling follows the byte-budget discipline of the density engine:
+per-shot MPS chains are too large to keep thousands resident, so the
+sampler sweeps the op stream over *chunks* of resident shots under
 ``MPS_BATCH_MAX_BYTES`` (``chunk = budget // bytes_per_shot``, clamped
-to 1), while ``vectorize=False`` retains the shot-major reference loop.
-Both paths drive the *same* scalar :class:`MPSState` kernels and consume
-one shared :class:`~repro.mbqc.backend._ShotDrawTable` whole-block draw
-schedule, so seeded records are bit-identical across chunk sizes and
-between the two paths *by construction* — and, because the table replays
-the dense engines' draw conventions (uniform per unpinned measurement,
-flip block per readout, fault block per Pauli channel), they are
-bit-identical to the statevector engine's seeded records on any
-channel-free program both can run.
+to 1).  Every chunk drives the same scalar :class:`MPSState` kernels and
+reads one shared :class:`~repro.mbqc.backend._ShotDrawTable` whole-block
+draw schedule, so seeded records are bit-identical across chunk sizes *by
+construction* — and, because the table replays the dense engines' draw
+conventions (uniform per unpinned measurement, flip block per readout,
+fault block per Pauli channel), they are bit-identical to the
+statevector engine's seeded records on any channel-free program both can
+run.
 
 Truncation is never silent: every output carries the accumulated
 relative discarded weight (:attr:`MPSOutput.truncation_error`,
@@ -74,8 +73,8 @@ MPS_DEFAULT_CHI_MAX = 64
 #: coefficients by default, keeping small-pattern runs exact to ~1e-12.
 MPS_DEFAULT_CUTOFF = 1e-12
 
-#: Resident-chunk byte budget of the vectorized sampling sweep (the PR 5
-#: chunking budget; cf. ``DENSITY_BATCH_MAX_BYTES``).
+#: Resident-chunk byte budget of the sampling sweep (cf.
+#: ``DENSITY_BATCH_MAX_BYTES``).
 MPS_BATCH_MAX_BYTES = 1 << 26
 
 _MPS_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
@@ -245,17 +244,14 @@ class MPSBackend:
         forced_outcomes: Optional[Mapping[int, int]] = None,
         noise: Optional[object] = None,
         keep_raw: bool = False,
-        vectorize: bool = True,
         max_block_bytes: Optional[int] = None,
     ) -> SampleRun:
         """Sample ``n_shots`` trajectories.
 
-        ``vectorize=True`` (default) sweeps the op stream over resident
-        shot chunks sized by ``max_block_bytes`` (default
-        :data:`MPS_BATCH_MAX_BYTES`); ``vectorize=False`` is the
-        shot-major reference loop.  Both run the same per-shot kernels off
-        one whole-block draw table, so seeded records are bit-identical
-        across ``vectorize`` and every chunk size."""
+        Sweeps the op stream over resident shot chunks sized by
+        ``max_block_bytes`` (default :data:`MPS_BATCH_MAX_BYTES`).  Every
+        chunk runs the same per-shot kernels off one whole-block draw
+        table, so seeded records are bit-identical across chunk sizes."""
         _check_n_shots(n_shots, self.name)
         rng = ensure_rng(rng)
         forced = dict(forced_outcomes or {})
@@ -273,14 +269,10 @@ class MPSBackend:
             for node in compiled.measured_nodes
         }
         raws: Optional[List[MPSOutput]] = [None] * n_shots if keep_raw else None  # type: ignore[list-item]
-        if vectorize:
-            chunk = self._chunk_shots(compiled, max_block_bytes)
-            for lo in range(0, n_shots, chunk):
-                hi = min(lo + chunk, n_shots)
-                self._run_chunk(compiled, row, forced, draws, rec, raws, lo, hi)
-        else:
-            for j in range(n_shots):
-                self._run_shot(compiled, row, forced, draws, rec, raws, j)
+        chunk = self._chunk_shots(compiled, max_block_bytes)
+        for lo in range(0, n_shots, chunk):
+            hi = min(lo + chunk, n_shots)
+            self._run_chunk(compiled, row, forced, draws, rec, raws, lo, hi)
         outcomes = (
             np.stack([rec[n] for n in compiled.measured_nodes], axis=1)
             if compiled.measured_nodes
@@ -291,58 +283,6 @@ class MPSBackend:
             outcomes=outcomes,
             raw=tuple(raws) if raws is not None else None,
         )
-
-    def _run_shot(
-        self,
-        compiled: CompiledPattern,
-        row: np.ndarray,
-        forced: Dict[int, int],
-        draws: _ShotDrawTable,
-        rec: Dict[int, np.ndarray],
-        raws: Optional[List[MPSOutput]],
-        j: int,
-    ) -> None:
-        """One shot, shot-major: scalar reads off the shared draw table."""
-        draws.start_shot(j)
-        st = self._fresh_state(row)
-        outcomes: Dict[int, int] = {}
-        for op in compiled.ops:
-            tp = type(op)
-            if tp is PrepOp:
-                st.add_qubit(op.state)
-            elif tp is EntangleOp:
-                st.apply_cz(*op.slots)
-            elif tp is MeasureOp:
-                s = signal_parity(outcomes, op.s_domain)
-                t = signal_parity(outcomes, op.t_domain)
-                vecs = _measure_vecs(op, s, t)
-                pinned = forced.get(op.node)
-                if pinned is None:
-                    out, _ = st.measure(op.slot, vecs, u=draws.uniform())
-                else:
-                    try:
-                        out, _ = st.measure(op.slot, vecs, force=pinned)
-                    except ZeroProbabilityBranch:
-                        raise ZeroProbabilityBranch(
-                            f"forced outcome {pinned} on node {op.node} has "
-                            f"probability ~0"
-                        ) from None
-                if op.flip_p > 0.0 and draws.flip(op.flip_p):
-                    out ^= 1
-                outcomes[op.node] = out
-                rec[op.node][j] = out
-            elif tp is ConditionalOp:
-                if signal_parity(outcomes, op.domain):
-                    st.apply_1q(op.matrix, op.slot)
-            elif tp is ChannelOp:
-                fault = draws.fault(op)
-                if fault >= 0:
-                    st.apply_1q(_MPS_PAULIS[fault], op.slot)
-            else:  # UnitaryOp
-                st.apply_1q(op.matrix, op.slot)
-        if raws is not None:
-            st.permute(compiled.out_perm)
-            raws[j] = MPSOutput(st)
 
     def _run_chunk(
         self,

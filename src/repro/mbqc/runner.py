@@ -14,9 +14,7 @@ input nodes for a fixed outcome branch.  It runs on the batched execution
 engine (:mod:`repro.mbqc.backend`): all ``2^k`` computational basis columns
 are simulated in one vectorized sweep over a
 :class:`~repro.sim.statevector.BatchedStateVector` instead of ``2^k``
-sequential pattern re-runs.  ``pattern_to_matrix_sequential`` keeps the
-per-column reference path for cross-checks and benchmarking
-(``benchmarks/bench_e19_batched_runner.py``).
+per-column runs (``benchmarks/bench_e19_batched_runner.py``).
 
 Both entry points dispatch through the backend registry
 (:func:`repro.mbqc.backend.select_backend`): ``backend`` may be an engine
@@ -47,16 +45,8 @@ from repro.mbqc.compile import (
     signal_parity,
 )
 from repro.mbqc.pattern import Pattern, PatternError
-from repro.sim.statevector import MeasurementBasis, StateVector
+from repro.sim.statevector import StateVector
 from repro.utils.rng import SeedLike, ensure_rng
-
-# The command-by-command interpreters (noise.py) share the compile-time
-# prep/Clifford tables; _PLANE_BASIS stays here for adaptive-basis building.
-_PLANE_BASIS = {
-    "XY": MeasurementBasis.xy,
-    "YZ": MeasurementBasis.yz,
-    "XZ": MeasurementBasis.xz,
-}
 
 _FAULT_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
@@ -75,46 +65,6 @@ class PatternResult:
 
     def state_array(self) -> np.ndarray:
         return self.state.to_array()
-
-
-class _Register:
-    """node id <-> simulator slot bookkeeping with removal compaction.
-
-    Used by the command-by-command interpreters (e.g. the noisy runner);
-    the main runner executes precompiled ops and needs no register.
-    """
-
-    def __init__(self) -> None:
-        self.slot: Dict[int, int] = {}
-
-    def add(self, node: int, slot: int) -> None:
-        self.slot[node] = slot
-
-    def remove(self, node: int) -> int:
-        s = self[node]
-        del self.slot[node]
-        for k in self.slot:
-            if self.slot[k] > s:
-                self.slot[k] -= 1
-        return s
-
-    def __getitem__(self, node: int) -> int:
-        try:
-            return self.slot[node]
-        except KeyError:
-            raise PatternError(
-                f"command targets unknown or already-measured node {node}"
-            ) from None
-
-
-def _signal(outcomes: Dict[int, int], domain) -> int:
-    parity = 0
-    for node in domain:
-        try:
-            parity ^= outcomes[node]
-        except KeyError:
-            raise PatternError(f"signal references unmeasured node {node}") from None
-    return parity
 
 
 def _reorder_output(sv: StateVector, out_perm: Sequence[int]) -> StateVector:
@@ -139,7 +89,6 @@ def run_pattern(
     input_state: Optional[StateVector] = None,
     seed: SeedLike = None,
     forced_outcomes: Optional[Dict[int, int]] = None,
-    renormalize: bool = True,
     validate: bool = True,
     compiled: Optional[CompiledPattern] = None,
     backend: Union[str, PatternBackend, None] = None,
@@ -153,10 +102,9 @@ def run_pattern(
         defaults to ``|+>^k`` as in the paper's QAOA protocol.
     forced_outcomes:
         Map node -> bit pinning measurement outcomes (branch enumeration).
-        Forcing a zero-probability branch raises.
-    renormalize:
-        With ``False`` the state keeps the branch amplitude — used by
-        :func:`pattern_to_matrix` to extract linear maps.
+        Forcing a zero-probability branch raises.  The returned state is
+        always normalized; :func:`pattern_to_matrix` extracts branch
+        amplitudes (linear maps).
     compiled:
         A precompiled program for ``pattern`` (from
         :func:`~repro.mbqc.compile.compile_pattern`); pass it when running
@@ -168,10 +116,9 @@ def run_pattern(
         their Pauli channel ops and readout flips in place).  A registry
         name (``"auto"``, ``"statevector"``, ``"stabilizer"``,
         ``"density"``) or engine instance dispatches the trajectory
-        through :meth:`PatternBackend.sample_batch`; the returned state is
-        then always normalized, and the output register must stay
-        densifiable (Clifford patterns with huge *measured* sets are fine
-        — only ``output_nodes`` are materialized).
+        through :meth:`PatternBackend.sample_batch`; the output register
+        must stay densifiable (Clifford patterns with huge *measured* sets
+        are fine — only ``output_nodes`` are materialized).
     """
     if compiled is None:
         compiled = compile_pattern(pattern, validate=validate)
@@ -179,12 +126,6 @@ def run_pattern(
     forced = forced_outcomes or {}
 
     if backend is not None:
-        if not renormalize:
-            raise PatternError(
-                "renormalize=False (branch-amplitude extraction) needs the "
-                "in-process interpreter; drop the backend argument or use "
-                "pattern_to_matrix/run_branch_batch"
-            )
         engine = resolve_backend(backend, compiled, dense_outputs=True)
         run = engine.sample_batch(
             compiled, 1, rng, input_state=input_state, forced_outcomes=forced,
@@ -221,7 +162,6 @@ def run_pattern(
                 rng=rng,
                 force=forced.get(op.node),
                 remove=True,
-                renormalize=renormalize,
             )
             if op.flip_p > 0.0 and rng.random() < op.flip_p:
                 out ^= 1  # readout flip corrupts downstream adaptivity
@@ -290,29 +230,3 @@ def pattern_to_matrix(
     run = engine.run_branch_batch(compiled, inputs, forced)
     # Row j of ``states`` is the output column for input basis state j.
     return np.ascontiguousarray(run.dense_states().T)
-
-
-def pattern_to_matrix_sequential(
-    pattern: Pattern,
-    forced_outcomes: Optional[Dict[int, int]] = None,
-) -> np.ndarray:
-    """Reference implementation of :func:`pattern_to_matrix`: one full
-    pattern run per input basis column.  Kept for cross-validation and as
-    the baseline in ``benchmarks/bench_e19_batched_runner.py``."""
-    compiled = compile_pattern(pattern)
-    forced = _full_branch(compiled, forced_outcomes)
-    k = compiled.num_inputs
-    n_out = compiled.num_outputs
-    cols = []
-    for j in range(1 << k):
-        basis = np.zeros(1 << k, dtype=complex)
-        basis[j] = 1.0
-        res = run_pattern(
-            pattern,
-            input_state=StateVector.from_array(basis),
-            forced_outcomes=forced,
-            renormalize=False,
-            compiled=compiled,
-        )
-        cols.append(res.state_array())
-    return np.stack(cols, axis=1).reshape(1 << n_out, 1 << k)

@@ -372,9 +372,8 @@ class DensityMatrix:
         """Projective measurement; returns ``(outcome, probability)``.
 
         ``u`` is an optional pre-drawn uniform deviate deciding the outcome
-        (0 iff ``u < p0``) in place of an ``rng`` draw — the hook that lets
-        the density engine's per-shot reference loop consume the identical
-        whole-block draw schedule as its vectorized sweep."""
+        (0 iff ``u < p0``) in place of an ``rng`` draw — e.g. one shot's
+        entry of a whole-block draw vector."""
         self._check(q)
         n = self._n
         b0, b1 = basis.vectors()

@@ -320,8 +320,8 @@ class BatchedTableau:
         property of the X/Z bits alone).  For a random outcome the bits
         come from ``force_words`` if given, else from ``outcome_provider()``
         (a zero-argument callable returning packed bits, invoked only when
-        randomness is actually consumed — so the vectorized sampler and the
-        per-shot loop draw from the parent generator identically).  For a
+        randomness is actually consumed — so the draw schedule is a
+        property of the shared X/Z structure).  For a
         deterministic outcome the actual bits are returned and ``force``
         handling (zero-probability branches) is the caller's business.
         """

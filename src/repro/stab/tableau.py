@@ -227,9 +227,9 @@ class StabilizerState:
                 outcome = int(force)
             elif callable(rng):
                 # A zero-argument draw source (e.g. the pattern backend's
-                # shared per-shot table) — invoked only when randomness is
-                # actually consumed, so vectorized and per-shot samplers
-                # stay on the identical generator stream.
+                # per-shot generator draws) — invoked only when randomness
+                # is actually consumed, so deterministic outcomes draw
+                # nothing from the stream.
                 outcome = int(rng())
             else:
                 outcome = int(ensure_rng(rng).integers(2))

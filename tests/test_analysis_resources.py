@@ -1,6 +1,7 @@
 """Static resource estimator and the select_backend byte-budget gate."""
 
 import pytest
+from oracle import oracle_run
 
 from repro.analysis import analyze, estimate_compiled, format_bytes
 from repro.core import compile_qaoa_pattern
@@ -53,9 +54,9 @@ class TestEstimate:
     def test_branch_bound_matches_exact_integration(self):
         c = ring_compiled(3)
         est = estimate_compiled(c)
-        # scalar path: leaves explored == raw bound (noiseless, no pruning)
-        scalar = get_backend("density").integrate(c, vectorize=False)
-        assert scalar.branches == est.branch_bound
+        # raw bound: the oracle's branch-by-branch enumeration reaches
+        # exactly that many records (noiseless, no dead records here)
+        assert len(oracle_run(c).branches) == est.branch_bound
         # frontier path: peak merged width == merged bound
         run = get_backend("density").integrate(c)
         assert run.branches == est.merged_branch_bound

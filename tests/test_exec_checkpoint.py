@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 import pytest
+from patterns import j_chain
 
 from repro.exec import (
     CheckpointResult,
@@ -26,19 +27,13 @@ from repro.exec import (
     records_digest,
     run_checkpointed,
 )
+from repro.core import compile_qaoa_pattern
 from repro.exec.checkpoint import BlockPlan
-from repro.mbqc import Pattern, compile_pattern, get_backend
+from repro.mbqc import compile_pattern, get_backend
 from repro.mbqc.noise import NoiseModel
 from repro.mbqc.pattern import PatternError
+from repro.problems import MaxCut
 from repro.utils.rng import ensure_rng, spawn_seeds
-
-
-def j_chain(alphas):
-    p = Pattern(input_nodes=[0], output_nodes=[len(alphas)])
-    for i, a in enumerate(alphas):
-        p.n(i + 1).e(i, i + 1).m(i, "XY", -a, s_domain=set())
-        p.x(i + 1, {i})
-    return p
 
 
 @pytest.fixture
@@ -210,6 +205,36 @@ class TestManifest:
             )
         with pytest.raises(PatternError, match="different job"):
             run_job(compiled, tmp_path / "j", block_shots=8)
+
+    def test_changed_angle_refused(self, tmp_path):
+        """Regression: the fingerprint once hashed op type names only, so a
+        job directory resumed under a different γ reused foreign blocks."""
+        qubo = MaxCut.ring(3).to_qubo()
+        first = compile_qaoa_pattern(qubo, [0.4], [0.7]).executable()
+        moved = compile_qaoa_pattern(qubo, [0.9], [0.7]).executable()
+        assert [type(op) for op in first.ops] == [type(op) for op in moved.ops]
+        ref = run_job(first, tmp_path / "j")
+        with pytest.raises(PatternError, match="different job"):
+            run_job(moved, tmp_path / "j")
+        again = run_job(first, tmp_path / "j")
+        assert again.blocks_reused == tuple(range(ref.n_blocks))
+        assert not again.blocks_run
+        assert np.array_equal(again.run.outcomes, ref.run.outcomes)
+
+    def test_changed_noise_refused(self, compiled, tmp_path):
+        """A job started under p=0.01 noise refuses to resume under p=0.3."""
+        ref = run_job(
+            compiled, tmp_path / "j", noise=NoiseModel(0.01, 0.01, 0.01)
+        )
+        with pytest.raises(PatternError, match="different job"):
+            run_job(compiled, tmp_path / "j", noise=NoiseModel(0.3, 0.3, 0.3))
+        with pytest.raises(PatternError, match="different job"):
+            run_job(compiled, tmp_path / "j")
+        again = run_job(
+            compiled, tmp_path / "j", noise=NoiseModel(0.01, 0.01, 0.01)
+        )
+        assert again.blocks_reused == tuple(range(ref.n_blocks))
+        assert np.array_equal(again.run.outcomes, ref.run.outcomes)
 
     def test_changed_seed_refused(self, compiled, tmp_path):
         run_job(compiled, tmp_path / "j", seed=7)

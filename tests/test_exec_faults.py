@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from patterns import j_chain
 
 from repro.core import compile_qaoa_pattern
 from repro.exec import (
@@ -31,21 +32,13 @@ from repro.exec import (
     sample_with_fallback,
 )
 from repro.exec.faults import raise_in_process
-from repro.mbqc import Pattern, compile_pattern, get_backend
+from repro.mbqc import compile_pattern, get_backend
 from repro.mbqc.backend import _REGISTRY, register_backend
 from repro.mbqc.mps_backend import MPSBackend
 from repro.mbqc.noise import NoiseModel
 from repro.problems import MaxCut
 
 from stat_helpers import assert_rows_within_sigma
-
-
-def j_chain(alphas):
-    p = Pattern(input_nodes=[0], output_nodes=[len(alphas)])
-    for i, a in enumerate(alphas):
-        p.n(i + 1).e(i, i + 1).m(i, "XY", -a, s_domain=set())
-        p.x(i + 1, {i})
-    return p
 
 
 @pytest.fixture

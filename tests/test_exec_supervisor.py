@@ -13,22 +13,15 @@ traceback — the satellite bugfix.
 
 import numpy as np
 import pytest
+from patterns import j_chain
 
 from repro.core import compile_qaoa_pattern
 from repro.exec import Fault, FaultSchedule, supervised_integrate
 from repro.exec.faults import _exit_now
-from repro.mbqc import Pattern, compile_pattern, get_backend
+from repro.mbqc import compile_pattern, get_backend
 from repro.mbqc.noise import NoiseModel
 from repro.mbqc.pattern import PatternError
 from repro.problems import MaxCut
-
-
-def j_chain(alphas):
-    p = Pattern(input_nodes=[0], output_nodes=[len(alphas)])
-    for i, a in enumerate(alphas):
-        p.n(i + 1).e(i, i + 1).m(i, "XY", -a, s_domain=set())
-        p.x(i + 1, {i})
-    return p
 
 
 @pytest.fixture(scope="module")

@@ -2,19 +2,14 @@
 
 import numpy as np
 import pytest
+from patterns import j_pattern
 
 from repro.linalg.gates import IDENTITY, PAULI_X, PAULI_Z
-from repro.mbqc import Pattern, compile_pattern, get_backend
+from repro.mbqc import compile_pattern, get_backend
 from repro.mbqc.channels import Channel, ChannelNoiseModel, as_channel_model
 from repro.mbqc.compile import ChannelOp, MeasureOp, lower_noise
 from repro.mbqc.noise import NoiseModel
 from repro.mbqc.pattern import PatternError
-
-
-def j_pattern(alpha):
-    p = Pattern(input_nodes=[0], output_nodes=[1])
-    p.n(1).e(0, 1).m(0, "XY", -alpha).x(1, {0})
-    return p
 
 
 def clifford_pattern():

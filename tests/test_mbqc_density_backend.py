@@ -3,19 +3,24 @@
 Covers end-to-end noiseless agreement with the dense engine, exact channel
 integration vs the Monte-Carlo trajectory estimator (the E21 certification
 claim: agreement within ~3 standard errors), non-Pauli channels, the
-Choi-state determinism check, solver wiring, and the vectorized trajectory
-sampler (seeded bit-identity between the batched sweep and the per-shot
-loop, and across shot chunkings — the PR 4 contract extended to the third
-engine).
+Choi-state determinism check, solver wiring, the batched trajectory
+sampler (seeded records bit-identical across shot chunkings, each shot's
+state the exact conditional state of its record), and the frontier
+integrator against the naive oracle (``tests/oracle.py``).
 """
+
+import itertools
 
 import numpy as np
 import pytest
+from oracle import oracle_run
+from patterns import j_chain, j_pattern
 from stat_helpers import (
     assert_mean_within_sigma,
     assert_rows_within_sigma,
 )
 
+from repro.analysis import estimate_compiled
 from repro.core import compile_qaoa_pattern
 from repro.core.solver import MBQCQAOASolver
 from repro.core.verify import check_pattern_determinism
@@ -35,21 +40,6 @@ from repro.mbqc.pattern import PatternError
 from repro.mbqc.runner import pattern_to_matrix
 from repro.problems import MaxCut
 from repro.sim import ZeroProbabilityBranch
-
-
-def j_pattern(alpha):
-    p = Pattern(input_nodes=[0], output_nodes=[1])
-    p.n(1).e(0, 1).m(0, "XY", -alpha).x(1, {0})
-    return p
-
-
-def j_chain(alphas):
-    """A chain of J(α) gadgets: one input, len(alphas) measurements."""
-    p = Pattern(input_nodes=[0], output_nodes=[len(alphas)])
-    for i, a in enumerate(alphas):
-        p.n(i + 1).e(i, i + 1).m(i, "XY", -a, s_domain=set())
-        p.x(i + 1, {i})
-    return p
 
 
 class TestRegistry:
@@ -281,35 +271,48 @@ class TestSolverWiring:
 
 
 class TestBatchedDensitySampler:
-    """The vectorized (batched density tensor) sampler vs the retained
-    per-shot loop: same seed, same whole-block draw schedule — outcome
-    records must agree **bit for bit**, not just in distribution (the PR 4
-    stabilizer contract, extended to the third engine)."""
+    """The batched density sampler: same seed, same whole-block draw
+    schedule — outcome records must agree **bit for bit** between the
+    whole-block sweep and one resident shot at a time
+    (``max_block_bytes=1``), and on flip-free programs every shot's output
+    must be the exact conditional state of its record, as the
+    forced-branch kernel (``run_branch_batch``) computes it."""
 
     def _both_paths(self, compiled, n_shots, seed, noise=None, forced=None):
         dm = get_backend("density")
         vec = dm.sample_batch(
             compiled, n_shots, rng=np.random.default_rng(seed), noise=noise,
-            forced_outcomes=forced, keep_raw=True, vectorize=True,
+            forced_outcomes=forced, keep_raw=True,
         )
         loop = dm.sample_batch(
             compiled, n_shots, rng=np.random.default_rng(seed), noise=noise,
-            forced_outcomes=forced, keep_raw=True, vectorize=False,
+            forced_outcomes=forced, keep_raw=True, max_block_bytes=1,
         )
-        return vec, loop
+        program = lower_noise(compiled, noise) if noise is not None else compiled
+        return program, vec, loop
 
-    def _assert_identical(self, vec, loop):
+    def _assert_identical(self, program, vec, loop):
         assert np.array_equal(vec.outcomes, loop.outcomes)
         assert len(vec.raw) == len(loop.raw)
         for a, b in zip(vec.raw, loop.raw):
+            assert np.allclose(a.rho.to_matrix(), b.rho.to_matrix(), atol=1e-12)
+        if any(getattr(op, "flip_p", 0.0) > 0.0 for op in program.ops):
+            # A flipped shot's state follows its hidden true outcome, not
+            # the record-conditional mixture a forced branch computes.
+            return
+        dm = get_backend("density")
+        k = program.num_inputs
+        row = np.ones((1, 1 << k), dtype=complex) / np.sqrt(1 << k)
+        for record, out in zip(vec.outcome_dicts(), vec.raw):
+            ref = dm.run_branch_batch(program, row, record).raw[0]
             assert np.allclose(
-                a.rho.to_matrix(), b.rho.to_matrix(), atol=1e-9
+                out.rho.to_matrix(), ref.rho.to_matrix(), atol=1e-9
             )
 
     def test_noiseless_chain_bit_identical(self):
         c = compile_pattern(j_chain([0.4, -1.1, 0.8]))
-        vec, loop = self._both_paths(c, 33, seed=2)
-        self._assert_identical(vec, loop)
+        program, vec, loop = self._both_paths(c, 33, seed=2)
+        self._assert_identical(program, vec, loop)
         # Generic angles randomize outcomes; the check must bite.
         assert 0.0 < vec.outcomes.mean() < 1.0
 
@@ -317,8 +320,8 @@ class TestBatchedDensitySampler:
         c = compile_pattern(
             compile_qaoa_pattern(MaxCut.ring(3).to_qubo(), [0.4], [0.7]).pattern
         )
-        vec, loop = self._both_paths(c, 40, seed=9)
-        self._assert_identical(vec, loop)
+        program, vec, loop = self._both_paths(c, 40, seed=9)
+        self._assert_identical(program, vec, loop)
 
     def test_bit_identical_under_pauli_channels_and_flips(self):
         """Readout flips and depolarizing channels ride the same draw
@@ -328,37 +331,38 @@ class TestBatchedDensitySampler:
             compile_qaoa_pattern(MaxCut.ring(3).to_qubo(), [0.4], [0.7]).pattern
         )
         noise = NoiseModel(p_prep=0.1, p_ent=0.05, p_meas=0.2)
-        vec, loop = self._both_paths(c, 48, seed=17, noise=noise)
-        self._assert_identical(vec, loop)
+        program, vec, loop = self._both_paths(c, 48, seed=17, noise=noise)
+        self._assert_identical(program, vec, loop)
 
     def test_bit_identical_under_amplitude_damping(self):
         """Non-Pauli channels are the density engine's reason to exist: the
-        batched Kraus einsum and the scalar loop must still produce seeded
-        bit-identical records."""
+        batched Kraus einsum must still produce seeded bit-identical
+        records, and exact conditional states."""
         model = ChannelNoiseModel(
             prep=Channel.amplitude_damping(0.25),
             ent=Channel.dephasing(0.1),
             meas_flip=0.15,
         )
         c = compile_pattern(j_chain([0.5, 1.3]))
-        vec, loop = self._both_paths(c, 32, seed=23, noise=model)
-        self._assert_identical(vec, loop)
+        program, vec, loop = self._both_paths(c, 32, seed=23, noise=model)
+        self._assert_identical(program, vec, loop)
         mixed = [out for out in vec.raw if out.rho.purity() < 1.0 - 1e-9]
         assert mixed, "damping should leave trajectory outputs mixed"
 
     def test_forced_subset_bit_identical(self):
-        """Pinning a subset of outcomes skips those draws identically on
-        both paths; the rest stay sampled."""
+        """Pinning a subset of outcomes skips those draws identically at
+        every chunking; the rest stay sampled."""
         c = compile_pattern(j_chain([0.4, -0.9, 1.2]))
         node = c.measured_nodes[1]
-        vec, loop = self._both_paths(c, 21, seed=31, forced={node: 1})
-        self._assert_identical(vec, loop)
+        program, vec, loop = self._both_paths(c, 21, seed=31, forced={node: 1})
+        self._assert_identical(program, vec, loop)
         i = c.measured_nodes.index(node)
         assert np.all(vec.outcomes[:, i] == 1)
 
     def test_forced_all_equals_branch_run(self):
         """Pinning every outcome makes sample_batch a (normalized) branch
-        run — per-shot states must match run_branch_batch on both paths."""
+        run — per-shot states must match run_branch_batch at every
+        chunking."""
         c = compile_pattern(j_chain([0.7, 0.3]))
         branch = {n: 0 for n in c.measured_nodes}
         dm = get_backend("density")
@@ -366,7 +370,7 @@ class TestBatchedDensitySampler:
         forced = dm.run_branch_batch(c, plus_row, branch)
         ref = forced.raw[0].rho.to_matrix()
         ref = ref / np.real(np.trace(ref))
-        vec, loop = self._both_paths(c, 3, seed=1, forced=branch)
+        _, vec, loop = self._both_paths(c, 3, seed=1, forced=branch)
         for run in (vec, loop):
             assert np.array_equal(
                 run.outcomes,
@@ -380,11 +384,11 @@ class TestBatchedDensitySampler:
         p.n(0, state="zero").n(1).m(0, "YZ", 0.0)
         c = compile_pattern(p)
         dm = get_backend("density")
-        for vectorize in (True, False):
+        for max_block_bytes in (None, 1):
             with pytest.raises(ZeroProbabilityBranch, match="node 0"):
                 dm.sample_batch(
                     c, 3, rng=np.random.default_rng(0),
-                    forced_outcomes={0: 1}, vectorize=vectorize,
+                    forced_outcomes={0: 1}, max_block_bytes=max_block_bytes,
                 )
 
     def test_keep_raw_default_off(self):
@@ -411,7 +415,7 @@ class TestBatchedDensitySampler:
 
 
 class TestShotChunking:
-    """Chunking the vectorized sweep against the memory budget must be
+    """Chunking the batched sweep against the memory budget must be
     invisible in the records: every chunk size replays the same whole-block
     draw schedule."""
 
@@ -454,17 +458,13 @@ class TestShotChunking:
         self._assert_identical(ref, tight)
 
     def test_chunked_matches_loop_path(self):
-        """Chunk boundaries and the per-shot loop are the same stream."""
+        """Chunk boundaries and one resident shot at a time (the per-shot
+        loop shape) are the same stream."""
         c = compile_pattern(j_chain([0.2, 1.4, -0.6]))
         per_shot = 16 * 4 ** c.max_live
         chunked = self._records(c, 11, seed=13, max_block_bytes=2 * per_shot)
-        loop = get_backend("density").sample_batch(
-            c, 11, rng=np.random.default_rng(13), keep_raw=True,
-            vectorize=False,
-        )
-        assert np.array_equal(chunked.outcomes, loop.outcomes)
-        for x, y in zip(chunked.raw, loop.raw):
-            assert np.allclose(x.rho.to_matrix(), y.rho.to_matrix(), atol=1e-9)
+        loop = self._records(c, 11, seed=13, max_block_bytes=1)
+        self._assert_identical(chunked, loop)
 
 
 class TestGuards:
@@ -499,13 +499,12 @@ class TestGuards:
 
 class TestFrontierIntegration:
     """The frontier integrator (live-parity merging + cross-branch
-    batching) certified against the retained scalar reference path."""
+    batching) certified against the scalar branch-by-branch oracle."""
 
     def _both(self, program, **kw):
-        eng = get_backend("density")
         return (
-            eng.integrate(program, vectorize=False),
-            eng.integrate(program, **kw),
+            oracle_run(program),
+            get_backend("density").integrate(program, **kw),
         )
 
     def _ring_program(self, n=3, noise=None):
@@ -516,27 +515,30 @@ class TestFrontierIntegration:
 
     def test_noiseless_matches_scalar(self):
         scalar, frontier = self._both(self._ring_program())
-        assert np.abs(scalar.rho._t - frontier.rho._t).max() < 1e-12
+        assert np.abs(scalar.rho - frontier.rho.to_matrix()).max() < 1e-12
         # merging pays: the frontier peak sits strictly below the leaf count
-        assert frontier.branches < scalar.branches
+        assert frontier.branches < len(scalar.branches)
 
     def test_channel_noise_matches_scalar(self):
         program = self._ring_program(noise=ChannelNoiseModel(
             prep=Channel.amplitude_damping(0.05), ent=Channel.dephasing(0.02)
         ))
         scalar, frontier = self._both(program)
-        assert np.abs(scalar.rho._t - frontier.rho._t).max() < 1e-12
-        assert frontier.trace == pytest.approx(scalar.trace, abs=1e-12)
+        assert np.abs(scalar.rho - frontier.rho.to_matrix()).max() < 1e-12
+        assert frontier.trace == pytest.approx(
+            np.trace(scalar.rho).real, abs=1e-12
+        )
 
     def test_readout_flips_match_scalar_without_quadrupling(self):
         base = compile_pattern(j_chain([0.4, 0.9, 1.3]))
         noisy = lower_noise(base, ChannelNoiseModel(meas_flip=0.08))
         scalar, frontier = self._both(noisy)
-        assert np.abs(scalar.rho._t - frontier.rho._t).max() < 1e-12
-        # scalar pays 4^m with flips; flip children share their recorded
-        # bit and merge immediately, so the frontier width doesn't move
+        assert np.abs(scalar.rho - frontier.rho.to_matrix()).max() < 1e-12
+        # a branch-by-branch enumeration pays 4^m with flips; flip children
+        # share their recorded bit and merge immediately, so the frontier
+        # width doesn't move
         _, clean = self._both(compile_pattern(j_chain([0.4, 0.9, 1.3])))
-        assert scalar.branches == 4 ** 3
+        assert estimate_compiled(noisy).branch_bound == 4 ** 3
         assert frontier.branches == clean.branches
 
     def test_property_merging_preserves_exact_rho(self):
@@ -552,7 +554,7 @@ class TestFrontierIntegration:
             )
             noisy = lower_noise(compile_pattern(j_chain(alphas)), model)
             scalar, frontier = self._both(noisy)
-            assert np.abs(scalar.rho._t - frontier.rho._t).max() < 1e-12
+            assert np.abs(scalar.rho - frontier.rho.to_matrix()).max() < 1e-12
             assert frontier.trace == pytest.approx(1.0, abs=1e-9)
 
     def test_chunk_sizes_bitwise_invariant(self):
@@ -568,13 +570,11 @@ class TestFrontierIntegration:
 
     def test_max_branches_enforced_on_merged_bound(self):
         # ring(3): merged bound 64, raw bound 512 — a cap between the two
-        # gates the scalar path but lets the frontier through
+        # lets the frontier through; one below the merged bound refuses
         program = self._ring_program()
         eng = get_backend("density")
         run = eng.integrate(program, max_branches=100)
         assert run.branches <= 100
-        with pytest.raises(PatternError, match="R102"):
-            eng.integrate(program, max_branches=100, vectorize=False)
         with pytest.raises(PatternError, match="R102"):
             eng.integrate(program, max_branches=32)
 
@@ -583,15 +583,15 @@ class TestFrontierIntegration:
             compile_pattern(j_chain([0.4, 1.1])),
             ChannelNoiseModel(prep=Channel.amplitude_damping(0.6)),
         )
-        scalar, frontier = self._both(noisy, prune_tol=0.2)
         eng = get_backend("density")
-        scalar = eng.integrate(noisy, prune_tol=0.2, vectorize=False)
+        frontier = eng.integrate(noisy, prune_tol=0.2)
+        scalar = oracle_run(noisy, prune=0.2)
         assert frontier.dropped_weight > 0.0
         assert frontier.trace + frontier.dropped_weight == pytest.approx(
             1.0, abs=1e-9
         )
         assert frontier.dropped_weight == pytest.approx(
-            scalar.dropped_weight, abs=1e-12
+            1.0 - np.trace(scalar.rho).real, abs=1e-12
         )
         # default run prunes nothing and says so
         clean = eng.integrate(noisy)
@@ -629,13 +629,20 @@ class TestShardedIntegration:
         program = self._noisy_ring()
         eng = get_backend("density")
         base = eng.integrate(program)
-        scalar = eng.integrate(program, vectorize=False)
+        # branch by branch: every record's forced run (readout flips mixed
+        # in by the forced-branch kernel), weighted and summed
+        row = np.ones((1, 1), dtype=complex)
+        scalar = sum(
+            out.rho.to_matrix() * out.weight
+            for bits in itertools.product((0, 1), repeat=len(program.measured_nodes))
+            for out in eng.run_branch_batch(
+                program, row, dict(zip(program.measured_nodes, bits))
+            ).raw
+        )
         for shards in (2, 3):
             run = eng.integrate(program, shards=shards)
             assert np.abs(run.rho._t - base.rho._t).max() < 1e-12
-            # the scalar run prunes ~1e-10 of weight across 4^m leaves,
-            # so the cross-path comparison carries that looseness
-            assert np.abs(run.rho._t - scalar.rho._t).max() < 1e-9
+            assert np.abs(run.rho.to_matrix() - scalar).max() < 1e-12
 
     def test_sharded_rerun_bit_identical(self):
         program = self._noisy_ring()
@@ -654,14 +661,10 @@ class TestShardedIntegration:
         )
         eng = get_backend("density")
         run = eng.integrate(noisy, shards=4)
-        base = eng.integrate(noisy, vectorize=False)
-        assert np.abs(run.rho._t - base.rho._t).max() < 1e-12
+        base = oracle_run(noisy)
+        assert np.abs(run.rho.to_matrix() - base.rho).max() < 1e-12
 
-    def test_shards_require_vectorized_path(self):
-        with pytest.raises(PatternError, match="shards"):
-            get_backend("density").integrate(
-                self._noisy_ring(), shards=2, vectorize=False
-            )
+    def test_shards_must_be_positive(self):
         with pytest.raises(ValueError, match="shards"):
             get_backend("density").integrate(self._noisy_ring(), shards=0)
 

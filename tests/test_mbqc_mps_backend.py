@@ -3,8 +3,8 @@
 Covers registration and auto-dispatch off the compile-time
 ``interaction_width`` statistic, the seeded-stream bit-identity contract
 (records identical to the dense statevector engine on noiseless seeded
-runs, and MPS-internally across every chunk size and ``vectorize``
-setting — the PR 5 contract extended to the fourth engine), forced-branch
+runs, and MPS-internally across every chunk size down to one resident
+shot — the chunk-invariance contract extended to the fourth engine), forced-branch
 weights and states vs the dense reference, Pauli-channel noise via the
 shared fault stream, truncation-error surfacing, and scaling past dense
 reach on a bounded-width ring.
@@ -96,21 +96,23 @@ class TestBitIdentity:
         assert np.array_equal(ref.outcomes, tiny.outcomes)
 
     def test_records_match_scalar_path(self):
+        """One resident shot (``max_block_bytes=1``) is the shot-major
+        sweep: its records equal the whole-block sweep's."""
         compiled = ring_compiled(4)
         eng = get_backend("mps")
-        vec = eng.sample_batch(compiled, 32, rng=9, vectorize=True)
-        ref = eng.sample_batch(compiled, 32, rng=9, vectorize=False)
+        vec = eng.sample_batch(compiled, 32, rng=9)
+        ref = eng.sample_batch(compiled, 32, rng=9, max_block_bytes=1)
         assert np.array_equal(vec.outcomes, ref.outcomes)
 
     def test_noisy_records_match_across_paths(self):
-        """Pauli-channel noise rides the shared fault stream: chunked,
-        whole-block, and scalar paths stay bit-identical."""
+        """Pauli-channel noise rides the shared fault stream: one-shot,
+        chunked and whole-block sweeps stay bit-identical."""
         compiled = ring_compiled(4)
         noise = NoiseModel(p_prep=0.05, p_ent=0.03, p_meas=0.02)
         eng = get_backend("mps")
         kw = dict(rng=21, noise=noise)
-        ref = eng.sample_batch(compiled, 40, vectorize=False, **kw)
-        vec = eng.sample_batch(compiled, 40, vectorize=True, **kw)
+        ref = eng.sample_batch(compiled, 40, max_block_bytes=1, **kw)
+        vec = eng.sample_batch(compiled, 40, **kw)
         tiny = eng.sample_batch(
             compiled, 40,
             max_block_bytes=2 * eng.bytes_per_shot(compiled), **kw,

@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+from patterns import j_pattern
 
 from repro.core import compile_qaoa_pattern
 from repro.linalg import allclose_up_to_global_phase
-from repro.mbqc import Pattern, run_pattern
-from repro.mbqc.noise import NoiseModel, average_fidelity, run_pattern_noisy
+from repro.mbqc import PatternError, compile_pattern, run_pattern
+from repro.mbqc.compile import lower_noise
+from repro.mbqc.noise import NoiseModel, average_fidelity
 from repro.problems import MaxCut
 
 
-def j_pattern(alpha):
-    p = Pattern(input_nodes=[0], output_nodes=[1])
-    p.n(1).e(0, 1).m(0, "XY", -alpha).x(1, {0})
-    return p
+def run_noisy(pattern, noise, seed=None, input_state=None):
+    """One noisy trajectory: the interpreter on the noise-lowered program."""
+    program = lower_noise(compile_pattern(pattern), noise)
+    return run_pattern(
+        pattern, input_state=input_state, seed=seed, compiled=program
+    )
 
 
 class TestNoiseModel:
@@ -32,7 +36,7 @@ class TestNoisyRunner:
     def test_zero_noise_matches_ideal(self):
         compiled = compile_qaoa_pattern(MaxCut.ring(3).to_qubo(), [0.4], [0.7])
         ideal = run_pattern(compiled.pattern, seed=3).state_array()
-        noisy = run_pattern_noisy(compiled.pattern, NoiseModel(), seed=5).state_array()
+        noisy = run_noisy(compiled.pattern, NoiseModel(), seed=5).state_array()
         assert allclose_up_to_global_phase(noisy, ideal, atol=1e-9)
 
     def test_full_measurement_flip_changes_nothing_for_deterministic(self):
@@ -40,7 +44,7 @@ class TestNoisyRunner:
         pattern the corrections re-absorb it, so the state is unchanged."""
         p = j_pattern(0.8)
         ideal = run_pattern(p, seed=0).state_array()
-        noisy = run_pattern_noisy(p, NoiseModel(p_meas=1.0), seed=1).state_array()
+        noisy = run_noisy(p, NoiseModel(p_meas=1.0), seed=1).state_array()
         # A *readout* flip misleads the correction: state differs in
         # general.  Verify it is still normalized and a valid state.
         assert np.isclose(np.linalg.norm(noisy), 1.0)
@@ -78,8 +82,8 @@ class TestNoisyRunner:
         from repro.sim import StateVector
 
         p = j_pattern(0.1)
-        with pytest.raises(ValueError):
-            run_pattern_noisy(p, NoiseModel(), input_state=StateVector.plus(2))
+        with pytest.raises(PatternError):
+            run_noisy(p, NoiseModel(), input_state=StateVector.plus(2))
 
 
 class TestInterpreterExecutesLoweredNoise:

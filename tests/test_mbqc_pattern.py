@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from patterns import j_pattern
 
 from repro.linalg import allclose_up_to_global_phase
 from repro.mbqc import (
@@ -24,13 +25,6 @@ from repro.mbqc import (
     pattern_to_matrix,
     standardize,
 )
-
-
-def j_pattern(alpha: float) -> Pattern:
-    """The cluster-state J(α) primitive: one input, one ancilla."""
-    p = Pattern(input_nodes=[0], output_nodes=[1])
-    p.n(1).e(0, 1).m(0, "XY", -alpha).x(1, {0})
-    return p
 
 
 class TestCommands:

@@ -5,17 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from patterns import j_pattern
 
 from repro.linalg import HADAMARD, allclose_up_to_global_phase, j_gate, rx, rz
 from repro.mbqc import Pattern, PatternError, pattern_to_matrix, run_pattern
 from repro.mbqc.runner import enumerate_branches
 from repro.sim import StateVector
-
-
-def j_pattern(alpha: float) -> Pattern:
-    p = Pattern(input_nodes=[0], output_nodes=[1])
-    p.n(1).e(0, 1).m(0, "XY", -alpha).x(1, {0})
-    return p
 
 
 class TestJGate:

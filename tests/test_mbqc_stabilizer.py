@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from patterns import random_clifford_pattern
 from stat_helpers import assert_bit_marginals_agree
 
 from repro.core import compile_qaoa_pattern
@@ -21,6 +22,7 @@ from repro.mbqc import (
     Pattern,
     PatternError,
     StabilizerBackend,
+    StabilizerOutput,
     StatevectorBackend,
     available_backends,
     compile_pattern,
@@ -34,40 +36,6 @@ from repro.mbqc.compile import clifford_word, pauli_of_basis
 from repro.problems import MaxCut
 from repro.sim import MeasurementBasis, StateVector, ZeroProbabilityBranch
 from repro.stab import ForcedOutcomeContradiction, StabilizerState
-
-CLIFFORD_ANGLES = (0.0, np.pi / 2, -np.pi / 2, np.pi)
-
-
-def random_clifford_pattern(seed: int) -> Pattern:
-    """A random state-prep pattern whose every op is Clifford: random graph,
-    random Pauli-eigenbasis measurements with random signal domains, random
-    corrections and C gates on the outputs."""
-    rng = np.random.default_rng(seed)
-    n_nodes = int(rng.integers(4, 8))
-    n_out = int(rng.integers(1, 3))
-    outputs = list(range(n_nodes - n_out, n_nodes))
-    p = Pattern(input_nodes=[], output_nodes=outputs)
-    for v in range(n_nodes):
-        p.n(v, str(rng.choice(["plus", "plus", "zero", "one", "minus"])))
-    for _ in range(int(rng.integers(n_nodes, 2 * n_nodes))):
-        u, v = rng.choice(n_nodes, size=2, replace=False)
-        p.e(int(u), int(v))
-    done = []
-    for node in range(n_nodes - n_out):
-        plane = str(rng.choice(["XY", "YZ", "XZ"]))
-        angle = float(rng.choice(CLIFFORD_ANGLES))
-        s_dom = {x for x in done if rng.random() < 0.3}
-        t_dom = {x for x in done if rng.random() < 0.3}
-        p.m(node, plane, angle, s_dom, t_dom)
-        done.append(node)
-    for node in outputs:
-        if done and rng.random() < 0.5:
-            p.x(node, {x for x in done if rng.random() < 0.4} or {done[0]})
-        if done and rng.random() < 0.5:
-            p.z(node, {x for x in done if rng.random() < 0.4} or {done[-1]})
-        if rng.random() < 0.5:
-            p.c(node, str(rng.choice(["h", "s", "sdg", "x", "y", "z"])))
-    return p
 
 
 class TestClassifier:
@@ -526,12 +494,6 @@ class TestVerifyStabilizerPath:
             p, max_branches=6, seed=0, backend="stabilizer"
         )
 
-    def test_run_pattern_dispatch_rejects_renormalize_false(self):
-        p = Pattern(input_nodes=[], output_nodes=[1])
-        p.n(0).n(1).e(0, 1).m(0, "XY", 0.0).x(1, {0})
-        with pytest.raises(PatternError, match="renormalize"):
-            run_pattern(p, renormalize=False, backend="statevector")
-
     def test_stabilizer_check_rejects_open_inputs(self):
         p = Pattern(input_nodes=[0], output_nodes=[1])
         p.n(1).e(0, 1).m(0, "XY", 0.0).x(1, {0})
@@ -540,87 +502,85 @@ class TestVerifyStabilizerPath:
 
 
 class TestBatchedTableauSampler:
-    """The vectorized (bit-packed batched tableau) sampler vs the retained
-    per-shot loop: same seed, same whole-block draw schedule — trajectories
-    must agree **bit for bit**, not just in distribution."""
+    """The bit-packed batched tableau sampler vs the scalar tableau: every
+    shot's output must be **bit-identical** (canonical stabilizer form and
+    exact log-2 branch weight) to the scalar forced-branch run
+    (``run_branch_batch``) on the record that shot drew."""
 
-    def _both_paths(self, compiled, n_shots, seed, noise=None):
+    def _assert_shots_match_branch_runs(self, compiled, run):
         sb = get_backend("stabilizer")
-        vec = sb.sample_batch(
-            compiled, n_shots, rng=np.random.default_rng(seed), noise=noise,
-            keep_raw=True, vectorize=True,
-        )
-        loop = sb.sample_batch(
-            compiled, n_shots, rng=np.random.default_rng(seed), noise=noise,
-            keep_raw=True, vectorize=False,
-        )
-        return vec, loop
-
-    def _assert_identical(self, vec, loop):
-        assert np.array_equal(vec.outcomes, loop.outcomes)
-        assert len(vec.raw) == len(loop.raw)
-        for a, b in zip(vec.raw, loop.raw):
-            assert a.log2_weight == b.log2_weight
-            assert a.canonical_key() == b.canonical_key()
-            assert np.allclose(a.probabilities(), b.probabilities(), atol=1e-9)
+        inputs = np.ones((1, 1), dtype=complex)
+        for j, record in enumerate(run.outcome_dicts()):
+            ref = sb.run_branch_batch(compiled, inputs, record).raw[0]
+            assert run.raw[j].log2_weight == ref.log2_weight
+            assert run.raw[j].canonical_key() == ref.canonical_key()
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=12, deadline=None)
     def test_random_clifford_patterns_bit_identical(self, seed):
-        pattern = random_clifford_pattern(seed)
-        c = compile_pattern(pattern)
-        vec, loop = self._both_paths(c, 17, seed)
-        self._assert_identical(vec, loop)
+        c = compile_pattern(random_clifford_pattern(seed))
+        run = get_backend("stabilizer").sample_batch(
+            c, 17, rng=np.random.default_rng(seed), keep_raw=True
+        )
+        self._assert_shots_match_branch_runs(c, run)
 
     def test_qaoa_ring_bit_identical(self):
         qubo = MaxCut.ring(8).to_qubo()
         c = compile_pattern(compile_qaoa_pattern(qubo, [0.0], [0.0]).pattern)
-        vec, loop = self._both_paths(c, 64, seed=3)
-        self._assert_identical(vec, loop)
+        run = get_backend("stabilizer").sample_batch(
+            c, 64, rng=np.random.default_rng(3), keep_raw=True
+        )
+        self._assert_shots_match_branch_runs(c, run)
+        assert 0.0 < run.outcomes.mean() < 1.0
 
-    def test_bit_identical_under_pauli_noise(self):
-        """Readout flips and channel faults ride the same whole-block draw
-        schedule on both paths (draw_pauli_fault_batch, one vector draw per
-        channel op) — bit-identity survives a noise-lowered program."""
+    def test_pauli_noise_record_marginals_match_dense(self):
+        """Readout flips and channel faults (one whole-block vector draw
+        per channel op) sample the same record distribution as the dense
+        engine's trajectories of the same noise program."""
         from repro.mbqc.noise import NoiseModel
 
         qubo = MaxCut.ring(5).to_qubo()
         c = compile_pattern(compile_qaoa_pattern(qubo, [0.0], [0.0]).pattern)
         noise = NoiseModel(p_prep=0.15, p_ent=0.05, p_meas=0.25)
-        vec, loop = self._both_paths(c, 40, seed=11, noise=noise)
-        self._assert_identical(vec, loop)
+        sb_run = get_backend("stabilizer").sample_batch(
+            c, 3000, rng=np.random.default_rng(11), noise=noise
+        )
+        sv_run = get_backend("statevector").sample_batch(
+            c, 3000, rng=np.random.default_rng(12), noise=noise
+        )
         # Noise must actually randomize the record for this test to bite.
-        assert 0.0 < vec.outcomes.mean() < 1.0
+        assert 0.0 < sb_run.outcomes.mean() < 1.0
+        assert_bit_marginals_agree(sv_run.outcomes, sb_run.outcomes, k=4.0)
 
     def test_forced_outcomes_match_loop(self):
-        pattern = random_clifford_pattern(9)
-        c = compile_pattern(pattern)
+        """Pinned records tile every shot, and each shot's output is the
+        scalar tableau's forced-branch output."""
+        c = compile_pattern(random_clifford_pattern(9))
         branch = _reachable_branch(c)
-        sb = get_backend("stabilizer")
-        for vectorize in (True, False):
-            run = sb.sample_batch(
-                c, 5, rng=np.random.default_rng(0), forced_outcomes=branch,
-                vectorize=vectorize,
-            )
-            assert np.array_equal(
-                run.outcomes,
-                np.tile([branch[n] for n in c.measured_nodes], (5, 1)),
-            )
+        run = get_backend("stabilizer").sample_batch(
+            c, 5, rng=np.random.default_rng(0), forced_outcomes=branch,
+            keep_raw=True,
+        )
+        assert np.array_equal(
+            run.outcomes,
+            np.tile([branch[n] for n in c.measured_nodes], (5, 1)),
+        )
+        self._assert_shots_match_branch_runs(c, run)
 
     def test_vectorized_forced_contradiction_raises_zero_probability(self):
         """A branch forcing against a deterministic Pauli measurement is
-        zero-weight on both paths."""
+        zero-weight on the batched sampler and the scalar branch run."""
         p = Pattern(input_nodes=[], output_nodes=[1])
         p.n(0, "zero").n(1)
         p.m(0, "YZ", 0.0)  # deterministic: only outcome 0 is reachable
         c = compile_pattern(p)
         sb = get_backend("stabilizer")
-        for vectorize in (True, False):
-            with pytest.raises(ZeroProbabilityBranch):
-                sb.sample_batch(
-                    c, 3, rng=np.random.default_rng(0),
-                    forced_outcomes={0: 1}, vectorize=vectorize,
-                )
+        with pytest.raises(ZeroProbabilityBranch):
+            sb.sample_batch(
+                c, 3, rng=np.random.default_rng(0), forced_outcomes={0: 1},
+            )
+        with pytest.raises(ZeroProbabilityBranch):
+            sb.run_branch_batch(c, np.ones((1, 1), dtype=complex), {0: 1})
 
     def test_keep_raw_default_off(self):
         """The memory fix: sample_batch no longer retains per-shot outputs
@@ -636,15 +596,14 @@ class TestBatchedTableauSampler:
             run.dense_states()
 
     def test_packed_outputs_share_extraction(self):
-        """keep_raw=True on the vectorized path yields per-shot views into
-        one shared extraction (O(n_out) per shot), equal to the loop path's
-        full StabilizerOutput tableaus."""
+        """keep_raw=True on the batched path yields per-shot views into
+        one shared extraction (O(n_out) per shot)."""
         from repro.mbqc import PackedStabilizerOutput
 
         qubo = MaxCut.ring(4).to_qubo()
         c = compile_pattern(compile_qaoa_pattern(qubo, [0.0], [0.0]).pattern)
         run = get_backend("stabilizer").sample_batch(
-            c, 6, rng=np.random.default_rng(2), keep_raw=True, vectorize=True
+            c, 6, rng=np.random.default_rng(2), keep_raw=True
         )
         assert all(isinstance(out, PackedStabilizerOutput) for out in run.raw)
         assert run.raw[0].batch is run.raw[1].batch
@@ -654,9 +613,9 @@ class TestBatchedTableauSampler:
     def test_non_batch_applicable_fallback_survives_shot_dependent_schedule(self):
         """Regression: a hand-built Clifford program with a non-Pauli
         conditional (H) diverges the X/Z structure per shot, so which later
-        measurements are random differs across shots — the automatic
-        per-shot fallback must draw per shot from the generator instead of
-        the shared vector table (whose schedule invariant would break)."""
+        measurements are random differs across shots — the program runs on
+        the per-shot loop, drawing per shot from the generator (no
+        whole-block vector schedule exists for it)."""
         from dataclasses import replace as dc_replace
 
         from repro.linalg.gates import HADAMARD
@@ -685,18 +644,19 @@ class TestBatchedTableauSampler:
 
         run = sb.sample_batch(
             hacked, 64, rng=np.random.default_rng(0),
-            noise=NoiseModel(p_meas=0.2),
+            noise=NoiseModel(p_meas=0.2), keep_raw=True,
         )
         assert run.outcomes.shape == (64, 2)
-        # Forcing vectorization on such a program is refused loudly.
-        with pytest.raises(PatternError, match="vectorize"):
-            sb.sample_batch(hacked, 4, rng=0, vectorize=True)
+        assert all(type(out) is StabilizerOutput for out in run.raw)
+        assert np.allclose(
+            np.linalg.norm(run.dense_states(), axis=1), 1.0, atol=1e-9
+        )
 
-    def test_vectorize_true_rejects_empty_register(self):
+    def test_empty_register_samples_on_per_shot_loop(self):
         p = Pattern(input_nodes=[], output_nodes=[])
         c = compile_pattern(p)
-        with pytest.raises(PatternError, match="vectorize"):
-            get_backend("stabilizer").sample_batch(c, 2, rng=0, vectorize=True)
+        run = get_backend("stabilizer").sample_batch(c, 2, rng=0)
+        assert run.outcomes.shape == (2, 0)
 
     def test_engine_named_errors(self):
         qubo = MaxCut.ring(3).to_qubo()
@@ -712,7 +672,7 @@ class TestBatchedTableauSampler:
             )
 
     def test_sampled_distribution_matches_dense(self):
-        """The vectorized sampler still draws from the Born distribution:
+        """The batched sampler still draws from the Born distribution:
         cross-check empirical frequencies against the dense engine."""
         qubo = MaxCut.ring(4).to_qubo()
         c = compile_pattern(compile_qaoa_pattern(qubo, [0.0], [0.0]).pattern)
@@ -721,7 +681,7 @@ class TestBatchedTableauSampler:
             c, n_shots, rng=np.random.default_rng(21)
         )
         sb_run = get_backend("stabilizer").sample_batch(
-            c, n_shots, rng=np.random.default_rng(22), vectorize=True
+            c, n_shots, rng=np.random.default_rng(22)
         )
         # Compare marginal outcome frequencies per measured node within
         # combined two-sample standard errors (shared certification helper).

@@ -17,22 +17,15 @@ import sys
 
 import numpy as np
 import pytest
+from patterns import j_chain
 
-from repro.mbqc import Pattern, compile_pattern, get_backend
+from repro.mbqc import compile_pattern, get_backend
 from repro.mbqc.noise import NoiseModel
 from repro.serve import CacheStats, PatternCache, get_cache, pattern_digest
 from repro.utils.rng import ensure_rng
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
-
-
-def j_chain(alphas):
-    p = Pattern(input_nodes=[0], output_nodes=[len(alphas)])
-    for i, a in enumerate(alphas):
-        p.n(i + 1).e(i, i + 1).m(i, "XY", -a, s_domain=set())
-        p.x(i + 1, {i})
-    return p
 
 
 @pytest.fixture
@@ -64,7 +57,7 @@ class TestDigest:
         """The content address survives interpreter restarts (no
         PYTHONHASHSEED / id() / dict-order leakage)."""
         script = (
-            "from tests.test_serve_cache import j_chain\n"
+            "from tests.patterns import j_chain\n"
             "from repro.serve import pattern_digest\n"
             "from repro.mbqc.noise import NoiseModel\n"
             "print(pattern_digest(j_chain([0.3, 0.7, 1.1, 0.2]),"
