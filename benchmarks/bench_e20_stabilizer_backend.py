@@ -14,7 +14,9 @@ Two acceptance claims of the backend-registry refactor:
    ``runs_per_batch`` pattern executions as one
    ``PatternBackend.sample_batch`` sweep (compile once, per-element RNG
    outcomes, per-element corrections) instead of the old per-run
-   ``run_pattern`` loop; the acceptance bar is ≥ 3x at 256 shots.
+   ``run_pattern`` loop; the acceptance bar is ≥ 6.6x at 256 shots (the
+   original 3x, re-based when ``run_pattern`` became a one-shot
+   ``sample_batch`` and its loop grew 2.18x slower).
 
 Set ``REPRO_BENCH_QUICK=1`` to run the trimmed CI smoke variant.
 """
@@ -123,7 +125,7 @@ def test_e20_batched_sampler_speedup():
 
     The baseline reproduces the pre-refactor ``sample``: one
     ``run_pattern`` call per batch run (each validating + compiling the
-    pattern, as the old code did) followed by per-run bitstring draws.
+    pattern and selecting its engine) followed by per-run bitstring draws.
     """
     shots = 256
     runs_per_batch = 16
@@ -173,5 +175,6 @@ def test_e20_batched_sampler_speedup():
     )
     # Same estimator, same distribution.
     assert costs_new.mean() == pytest.approx(costs_old.mean(), abs=0.5)
-    # Acceptance: >= 3x at 256 shots.
-    assert speedup >= 3.0, speedup
+    # Acceptance: 3x scaled by the baseline's growth when run_pattern lost
+    # its interpreter (3 * 2.18, rounded up).
+    assert speedup >= 6.6, speedup

@@ -11,8 +11,8 @@ Quickstart::
 
     from repro import maxcut, compile_qaoa_pattern, run_pattern
     problem = maxcut.MaxCut.ring(5)
-    pattern = compile_qaoa_pattern(problem.to_qubo(), gammas=[0.4], betas=[0.7])
-    state = run_pattern(pattern, seed=7)
+    compiled = compile_qaoa_pattern(problem.to_qubo(), gammas=[0.4], betas=[0.7])
+    state = run_pattern(compiled.pattern, seed=7).state_array()
 
 See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-vs-measured record.

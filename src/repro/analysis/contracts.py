@@ -42,7 +42,7 @@ KERNEL_PACKAGE_FRAGMENTS = ("repro/mbqc/", "repro/stab/", "repro/sim/")
 #: Enclosing function/class names exempt from C003 — the documented
 #: scalar trajectory draw paths whose draw order is part of their
 #: contract (each one's docstring says so).
-C003_ALLOW = frozenset({"draw_pauli_fault", "run_pattern", "_GeneratorDraws"})
+C003_ALLOW = frozenset({"draw_pauli_fault", "_GeneratorDraws"})
 
 #: ``np.random`` attributes that are legitimate non-drawing references
 #: (types for annotations/isinstance, the sanctioned constructor which

@@ -3,7 +3,9 @@
 Subcommands
 -----------
 ``compile``    compile MBQC-QAOA for a problem and print the protocol summary
-``run``        compile, execute, and sample solutions
+``run``        compile, execute, and sample solutions: one trajectory of a
+               noiseless program (``min(shots, 32)`` under ``--noise``)
+               on the chosen engine, resampled to ``--shots`` bitstrings
 ``verify``     branch-exhaustive determinism check of the compiled pattern
 ``resources``  print the Section III.A resource table for a problem at
                several depths
@@ -22,12 +24,14 @@ Subcommands
 
 ``run``, ``verify``, and ``lint`` take ``--backend`` with choices drawn
 from the engine registry at parse time (``auto`` plus every registered
-engine — ``density``, ``mps``, ``stabilizer``, ``statevector``):
-``auto`` dispatches Clifford-angle patterns (e.g. ``--gamma 0 --beta 0``)
-to the stabilizer-tableau engine once the live register outgrows dense
-reach, and bounded-interaction-width non-Clifford patterns to the
-matrix-product-state engine; forcing ``stabilizer`` on a non-Clifford
-pattern fails with a clear error.  ``lint --backend NAME`` additionally
+engine — ``density``, ``mps``, ``stabilizer``, ``statevector``), resolved
+by ``select_backend``: ``auto`` dispatches Clifford-angle patterns (e.g.
+``--gamma 0 --beta 0``) to the stabilizer-tableau engine once the live
+register outgrows dense reach, and bounded-interaction-width
+non-Clifford patterns to the matrix-product-state engine; a named engine
+that cannot execute the pattern (``stabilizer`` on a non-Clifford
+pattern) or would exceed the byte budget (R101) fails with a clear error
+before any work starts.  ``lint --backend NAME`` additionally
 pre-flights the choice: it reports whether that engine supports the
 pattern and fits ``--budget``, failing with the R101 diagnostic when not.  ``run`` additionally takes ``--noise RATE``
 (uniform per-operation depolarizing + readout flips, the E15 model) and
@@ -70,10 +74,8 @@ from repro.core.reuse import reuse_summary
 from repro.core.verify import check_pattern_determinism
 from repro.mbqc import (
     PatternError,
-    get_backend,
     list_backends,
     lower_noise,
-    run_pattern,
     select_backend,
 )
 from repro.mbqc.noise import NoiseModel
@@ -206,6 +208,16 @@ def _print_cache_stats(cache_dir: Optional[str]) -> None:
         print(diag.format())
 
 
+def _print_solution(problem: object, best_idx: int, n: int) -> None:
+    """The solution lines every non-checkpointed ``repro run`` mode ends
+    its report with."""
+    bits = int_to_bitstring(best_idx, n)
+    print(f"best solution  {''.join(map(str, bits))}")
+    if isinstance(problem, MaxCut):
+        print(f"best cut       {problem.cut_value(bits):.0f} "
+              f"(optimum {problem.max_cut_value():.0f})")
+
+
 def _cmd_run_job(args: argparse.Namespace) -> int:
     """The checkpointed records-only job path of ``repro run``."""
     from repro.exec import records_digest, run_checkpointed
@@ -280,7 +292,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"--exact integrates on the density engine; it cannot be "
                 f"combined with --backend {args.backend}"
             )
-        engine = get_backend("density")
+        engine = select_backend(program, "density")
         if args.shards > 1:
             from repro.exec import supervised_integrate
 
@@ -315,71 +327,42 @@ def cmd_run(args: argparse.Namespace) -> int:
                   f" + readout flips)")
         print(f"<cost>         {exact_cost:.4f}  (exact, no sampling)")
         print(f"best cost      {cost[best_idx]:.4f}  (reachable support)")
-        print(f"best solution  {''.join(map(str, int_to_bitstring(best_idx, n)))}")
-        if isinstance(problem, MaxCut):
-            print(f"best cut       {problem.cut_value(int_to_bitstring(best_idx, n)):.0f} "
-                  f"(optimum {problem.max_cut_value():.0f})")
+        _print_solution(problem, best_idx, n)
         return 0
 
     if noise is not None:
         program = lower_noise(program, noise)
+    # A noiseless deterministic pattern has one output state on every
+    # branch, so one trajectory carries the whole distribution; under
+    # noise, up to 32 trajectories are resampled.
+    runs = min(args.shots, 32) if program.has_noise else 1
     if args.fallback:
         from repro.exec import FallbackPolicy, sample_with_fallback
 
         policy = FallbackPolicy.parse(args.fallback)
-        runs = min(args.shots, 32)
         batch, degradation = sample_with_fallback(
             program, runs, policy, args.seed, keep_raw=True
         )
-        samples = batch.sample_bitstrings(args.shots, rng)
-        costs = cost[samples]
-        best_idx = int(samples[np.argmin(costs)])
-        print(f"problem        {name}")
-        print(f"backend        {degradation.selected} "
-              f"(fallback chain {policy.format()})")
-        for event in degradation.events:
-            print(f"               {event.as_diagnostic().format()}")
-        print(f"pattern        {compiled.num_nodes()} nodes, "
-              f"{measured * runs} measurement outcomes consumed")
-        if noise is not None:
-            print(f"noise          uniform rate {args.noise:g}")
-        print(f"shots          {args.shots}")
-        print(f"<cost>         {costs.mean():.4f}")
-        print(f"best cost      {costs.min():.4f}")
-        print(f"best solution  {''.join(map(str, int_to_bitstring(best_idx, n)))}")
-        if isinstance(problem, MaxCut):
-            print(f"best cut       {problem.cut_value(int_to_bitstring(best_idx, n)):.0f} "
-                  f"(optimum {problem.max_cut_value():.0f})")
-        return 0
-    engine = select_backend(program, args.backend, dense_outputs=True)
-    if noise is not None:
-        runs = min(args.shots, 32)
-        batch = engine.sample_batch(program, runs, rng, keep_raw=True)
-        samples = batch.sample_bitstrings(args.shots, rng)
-        outcomes_consumed = measured * runs
+        backend = f"{degradation.selected} (fallback chain {policy.format()})"
+        notes = [event.as_diagnostic().format() for event in degradation.events]
     else:
-        result = run_pattern(
-            compiled.pattern, seed=args.seed, compiled=program, backend=engine
-        )
-        probs = np.abs(result.state_array()) ** 2
-        probs = probs / probs.sum()
-        samples = rng.choice(probs.size, size=args.shots, p=probs)
-        outcomes_consumed = len(result.outcomes)
+        engine = select_backend(program, args.backend, dense_outputs=True)
+        batch = engine.sample_batch(program, runs, rng, keep_raw=True)
+        backend, notes = engine.name, []
+    samples = batch.sample_bitstrings(args.shots, rng)
     costs = cost[samples]
-    best_idx = int(samples[np.argmin(costs)])
     print(f"problem        {name}")
-    print(f"backend        {engine.name}")
+    print(f"backend        {backend}")
+    for note in notes:
+        print(f"               {note}")
     print(f"pattern        {compiled.num_nodes()} nodes, "
-          f"{outcomes_consumed} measurement outcomes consumed")
+          f"{measured * runs} measurement outcomes consumed")
     if noise is not None:
         print(f"noise          uniform rate {args.noise:g}")
     print(f"shots          {args.shots}")
     print(f"<cost>         {costs.mean():.4f}")
     print(f"best cost      {costs.min():.4f}")
-    print(f"best solution  {''.join(map(str, int_to_bitstring(best_idx, n)))}")
-    if isinstance(problem, MaxCut):
-        print(f"best cut       {problem.cut_value(int_to_bitstring(best_idx, n)):.0f} "
-              f"(optimum {problem.max_cut_value():.0f})")
+    _print_solution(problem, int(samples[np.argmin(costs)]), n)
     _print_cache_stats(getattr(args, "cache_dir", None))
     return 0
 

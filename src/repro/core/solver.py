@@ -26,7 +26,7 @@ import numpy as np
 from scipy import optimize as spopt
 
 from repro.core.compiler import compile_qaoa_pattern
-from repro.mbqc.backend import PatternBackend, resolve_backend
+from repro.mbqc.backend import PatternBackend, select_backend
 from repro.mbqc.compile import lower_noise
 from repro.mbqc.noise import NoiseModel
 from repro.problems.qubo import QUBO, IsingModel
@@ -122,11 +122,11 @@ class MBQCQAOASolver:
         corrections, and (under ``noise``) its own Pauli faults.
         """
         compiled = compile_qaoa_pattern(self.ising, gammas, betas)
-        # Lower the noise program *before* resolving the engine: automatic
+        # Lower the noise program *before* selecting the engine: automatic
         # dispatch inspects the lowered channels (non-Pauli ones route to
         # the density engine, which no trajectory backend can replace).
         program = lower_noise(compiled.executable(), self.noise)
-        engine = resolve_backend(self.backend, program, dense_outputs=True)
+        engine = select_backend(program, self.backend, dense_outputs=True)
         # keep_raw: the resampling step below reads per-trajectory output
         # distributions, so the engine must retain its per-shot outputs.
         run = engine.sample_batch(

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.linalg.compare import allclose_up_to_global_phase, proportionality_factor
-from repro.mbqc.backend import PatternBackend, resolve_backend
+from repro.mbqc.backend import PatternBackend, select_backend
 from repro.mbqc.compile import compile_pattern
 from repro.mbqc.pattern import Pattern, PatternError
 from repro.mbqc.runner import pattern_to_matrix, run_pattern
@@ -121,7 +121,7 @@ def branch_unitaries(
     """
     if compiled is None:
         compiled = compile_pattern(pattern)
-    engine = resolve_backend(backend, compiled, dense_outputs=True)
+    engine = select_backend(compiled, backend, dense_outputs=True)
     branches = _sample_branches(
         list(compiled.measured_nodes), max_branches, seed, keep_zero=True
     )
@@ -250,7 +250,7 @@ def check_pattern_determinism(
     """
     if compiled is None:
         compiled = compile_pattern(pattern)
-    engine = resolve_backend(backend, compiled)
+    engine = select_backend(compiled, backend)
     if engine.name == "density":
         branches = _sample_branches(
             list(compiled.measured_nodes), max_branches, seed, keep_zero=True
@@ -336,19 +336,23 @@ def pattern_state_equals(
     """For state-preparation patterns (no inputs): every branch output
     equals ``state`` up to global phase.
 
-    The pattern is compiled once and re-run per branch with the cached
-    program (branch outputs need renormalized states, so this path uses the
-    sequential runner rather than the unnormalized batched map extractor).
+    The pattern is compiled and its engine selected once, then re-run per
+    branch with the cached program (branch outputs need renormalized
+    states, so this path uses :func:`run_pattern` rather than the
+    unnormalized batched map extractor).
     """
     if pattern.input_nodes:
         raise ValueError("pattern has inputs; use pattern_equals_unitary")
     compiled = compile_pattern(pattern)
+    engine = select_backend(compiled, dense_outputs=True)
     branches = _sample_branches(
         list(compiled.measured_nodes), max_branches, seed, keep_zero=False
     )
     target = np.asarray(state, dtype=complex)
     for b in branches:
-        out = run_pattern(pattern, forced_outcomes=b, compiled=compiled).state_array()
+        out = run_pattern(
+            pattern, forced_outcomes=b, compiled=compiled, backend=engine
+        ).state_array()
         if not allclose_up_to_global_phase(out, target, atol=atol):
             return False
     return True

@@ -57,7 +57,7 @@ from repro.exec.faults import (
     corrupt_block_file,
     raise_in_process,
 )
-from repro.mbqc.backend import SampleRun, get_backend, select_backend
+from repro.mbqc.backend import SampleRun, select_backend
 from repro.mbqc.channels import as_channel_model
 from repro.mbqc.compile import CompiledPattern
 from repro.mbqc.pattern import PatternError
@@ -223,10 +223,6 @@ def atomic_write_bytes(path: str, blob: bytes) -> None:
         raise
 
 
-# Backwards-compatible internal alias (pre-serve callers).
-_atomic_write = atomic_write_bytes
-
-
 def write_block(
     job_dir: str, fingerprint: str, plan: BlockPlan, outcomes: np.ndarray
 ) -> str:
@@ -243,7 +239,7 @@ def write_block(
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     path = block_path(job_dir, plan.index)
-    _atomic_write(path, json.dumps(header).encode() + b"\n" + payload)
+    atomic_write_bytes(path, json.dumps(header).encode() + b"\n" + payload)
     return path
 
 
@@ -341,11 +337,17 @@ class CheckpointResult:
         return bool(self.blocks_reused)
 
 
-def records_digest(run: SampleRun) -> str:
-    """SHA-256 of the record stream — the determinism receipt the CLI
-    prints so two runs can be compared without shipping the records."""
-    payload = np.ascontiguousarray(run.outcomes, dtype=np.int8).tobytes()
+def records_sha256(outcomes: np.ndarray) -> str:
+    """SHA-256 of an outcome-record block (as ``int8`` bytes) — the one
+    receipt hash: checkpointed jobs, the CLI and served jobs all print it,
+    so two runs can be compared without shipping the records."""
+    payload = np.ascontiguousarray(outcomes, dtype=np.int8).tobytes()
     return hashlib.sha256(payload).hexdigest()
+
+
+def records_digest(run: SampleRun) -> str:
+    """:func:`records_sha256` of ``run``'s record stream."""
+    return records_sha256(run.outcomes)
 
 
 def run_checkpointed(
@@ -394,10 +396,9 @@ def run_checkpointed(
         raise ValueError(f"retries must be non-negative, got {retries}")
     schedule = faults if faults is not None else FaultSchedule()
 
-    if backend == "auto":
-        engine = select_backend(compiled)
-    else:
-        engine = get_backend(backend)
+    # Named engines go through the same support and R101 budget checks as
+    # automatic dispatch, before the job directory is touched.
+    engine = select_backend(compiled, backend)
     backend_name = engine.name
 
     os.makedirs(os.path.join(job_dir, _BLOCKS_DIR), exist_ok=True)
@@ -421,7 +422,7 @@ def run_checkpointed(
             "backend": backend_name,
             "cli": cli_meta,
         }
-        _atomic_write(
+        atomic_write_bytes(
             _manifest_path(job_dir), json.dumps(manifest, indent=1).encode()
         )
     else:

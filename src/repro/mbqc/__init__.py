@@ -12,12 +12,11 @@ are sequences of commands
 
 with the paper's notation ``M_i^P -> n`` and ``Λ_i^n(U)`` mapping onto
 ``M``/``X``/``Z`` commands.  Patterns are pre-compiled to slot-resolved ops
-(:mod:`repro.mbqc.compile`) and executed on the dynamic statevector
-simulator, supporting exhaustive outcome-branch enumeration — the
-determinism checks of Sections II.B/III are run over *all* branches.  Branch
-map extraction runs on a pluggable batched engine
-(:mod:`repro.mbqc.backend`): all ``2^k`` input columns in one vectorized
-sweep.
+(:mod:`repro.mbqc.compile`) and executed on a pluggable batched engine
+(:mod:`repro.mbqc.backend`), supporting exhaustive outcome-branch
+enumeration — the determinism checks of Sections II.B/III are run over
+*all* branches.  Branch map extraction runs all ``2^k`` input columns in
+one vectorized sweep.
 
 :mod:`repro.mbqc.flow` implements causal flow and (extended, three-plane)
 generalized flow, the graph-theoretic determinism criterion the paper cites
@@ -53,7 +52,6 @@ from repro.mbqc.backend import (
     draw_pauli_fault,
     draw_pauli_fault_batch,
     available_backends,
-    default_backend,
     get_backend,
     list_backends,
     register_backend,
@@ -119,7 +117,6 @@ __all__ = [
     "MPSBackend",
     "MPSOutput",
     "available_backends",
-    "default_backend",
     "get_backend",
     "list_backends",
     "register_backend",

@@ -1060,13 +1060,13 @@ class StabilizerBackend:
 
 def draw_pauli_fault(op: ChannelOp, rng) -> Optional[int]:
     """Sample ``op``'s Pauli mixture once: X/Y/Z index, or ``None`` for
-    identity.  The single-trajectory draw used by the in-process
-    interpreter (:mod:`repro.mbqc.runner`).
+    identity.  The single-trajectory draw of the stabilizer engine's
+    per-shot loop (:class:`_GeneratorDraws`).
 
     **Seeded-stream compatibility contract.**  This scalar path keeps the
     historical draw order (for a uniform mixture: one ``rng.random()`` fire
     draw, then — only when fired — one ``rng.integers(3)`` pick), so
-    seeded ``run_pattern`` trajectories reproduce across releases.  The
+    seeded per-shot stabilizer trajectories reproduce across releases.  The
     batched samplers instead consume :func:`draw_pauli_fault_batch` — one
     ``(n_shots,)`` vector draw per channel op with a fixed threshold
     layout — which is a *different* stream by design: a scalar trajectory
@@ -1349,7 +1349,9 @@ def select_backend(
     :func:`repro.analysis.estimate_compiled`) is checked against
     ``max_bytes`` (default :data:`PEAK_BYTE_BUDGET`; ``0`` disables): an
     over-budget route raises :class:`PatternError` carrying the ``R101``
-    diagnostic with concrete alternatives, rather than OOMing later.
+    diagnostic with concrete alternatives, rather than OOMing later.  A
+    name is checked exactly like an automatic choice; an instance is the
+    caller's choice and skips the budget check.
 
     Automatic dispatch only picks the stabilizer engine for
     state-preparation patterns (no inputs): tableau columns carry no global
@@ -1413,24 +1415,6 @@ def select_backend(
     backend = get_backend("statevector")
     _check_byte_budget(compiled, backend.name, max_bytes)
     return backend
-
-
-def resolve_backend(
-    backend: Union[str, PatternBackend, None],
-    compiled: CompiledPattern,
-    dense_outputs: bool = False,
-) -> PatternBackend:
-    """Coerce a user-supplied ``backend`` argument (name, instance, or
-    ``None`` for automatic dispatch) to an engine for ``compiled``."""
-    if backend is None or isinstance(backend, str):
-        return select_backend(compiled, backend, dense_outputs=dense_outputs)
-    return backend
-
-
-def default_backend() -> PatternBackend:
-    """The shared dense engine (kept for API compatibility; prefer
-    :func:`select_backend` for automatic dispatch)."""
-    return get_backend("statevector")
 
 
 register_backend(StatevectorBackend())

@@ -26,9 +26,8 @@ one-time compile:
   (:mod:`repro.mbqc.backend`) dispatch the pattern to the stabilizer-tableau
   engine instead of the dense simulator.
 
-The compiled program is a flat tuple of frozen ops consumed by both the
-sequential interpreter (:func:`repro.mbqc.runner.run_pattern`) and the
-batched backend (:mod:`repro.mbqc.backend`).  Ill-formed references —
+The compiled program is a flat tuple of frozen ops consumed by every
+engine of the backend registry (:mod:`repro.mbqc.backend`).  Ill-formed references —
 entangling, measuring, or correcting an unknown or already-measured node —
 surface as :class:`~repro.mbqc.pattern.PatternError` here even when pattern
 validation is skipped.

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.mbqc.backend import get_backend, resolve_backend
+from repro.mbqc.backend import select_backend
 from repro.mbqc.channels import (
     Channel,
     ChannelNoiseModel,
@@ -118,11 +118,8 @@ def average_fidelity(
         return float(np.abs(np.vdot(ref, ideal)) ** 2)
     if exact:
         if backend is None or backend == "auto":
-            engine = get_backend("density")
-        elif isinstance(backend, str):
-            engine = get_backend(backend)
-        else:
-            engine = backend
+            backend = "density"
+        engine = select_backend(compiled, backend)
         if not hasattr(engine, "integrate"):
             raise ValueError(
                 f"exact=True needs an engine with exact channel integration "
@@ -134,7 +131,7 @@ def average_fidelity(
     # channels); an explicit trajectory backend then fails with a clear
     # error rather than silently dropping the channels.
     lowered = lower_noise(compiled, model)
-    engine = resolve_backend(backend, lowered, dense_outputs=True)
+    engine = select_backend(lowered, backend, dense_outputs=True)
     # keep_raw: fidelities are read off per-trajectory outputs below.
     run = engine.sample_batch(lowered, trajectories, rng, keep_raw=True)
     if run.states is None and run.raw and hasattr(run.raw[0], "rho"):

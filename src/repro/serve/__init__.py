@@ -11,6 +11,7 @@ receipt formats live in :mod:`~repro.serve.jobs`; the CLI entry point
 is ``repro serve``.
 """
 
+from repro.exec.checkpoint import records_sha256
 from repro.serve.batching import (
     BlockTask,
     MuxedGenerator,
@@ -25,7 +26,7 @@ from repro.serve.cache import (
     get_cache,
     pattern_digest,
 )
-from repro.serve.jobs import JobResult, JobSpec, records_sha256
+from repro.serve.jobs import JobResult, JobSpec
 from repro.serve.server import (
     DEFAULT_MAX_BATCH_SHOTS,
     JobServer,

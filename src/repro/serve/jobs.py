@@ -34,7 +34,6 @@ run, whether or not the server coalesced its blocks with other jobs.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -164,15 +163,6 @@ def parse_noise(raw: object, *, job_id: str) -> Optional[object]:
         f"({type(raw).__name__}); pass a float, a p_prep/p_ent/p_meas "
         f"dict, or a serialized channel model"
     )
-
-
-def records_sha256(outcomes: np.ndarray) -> str:
-    """SHA-256 of an outcome-record block — byte-compatible with
-    :func:`repro.exec.checkpoint.records_digest`, so serve receipts and
-    checkpoint receipts compare directly."""
-    return hashlib.sha256(
-        np.ascontiguousarray(outcomes, dtype=np.int8).tobytes()
-    ).hexdigest()
 
 
 @dataclass

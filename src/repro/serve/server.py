@@ -14,8 +14,8 @@ workers are busy the queue keeps accumulating, so the next drain fuses
 *more* blocks per call — batch size adapts to load with no tuning.
 
 Events stream per block as they finish, ending with a ``done`` event
-carrying the job's ``records_sha256`` receipt (byte-compatible with
-:func:`repro.exec.checkpoint.records_digest`).  Two frontends wrap the
+carrying the job's ``records_sha256`` receipt (the hash
+:func:`repro.exec.checkpoint.records_digest` gives a standalone run).  Two frontends wrap the
 server: :func:`serve_stdin` (one JSON job per stdin line, JSON events on
 stdout — what ``repro serve`` uses by default) and :func:`serve_socket`
 (the same line protocol over a local TCP socket, one client per
@@ -37,18 +37,13 @@ from typing import Dict, IO, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exec.checkpoint import plan_blocks
+from repro.exec.checkpoint import plan_blocks, records_sha256
 from repro.mbqc.backend import get_backend, select_backend
 from repro.mbqc.compile import CompiledPattern
 from repro.mbqc.pattern import PatternError
 from repro.serve.batching import BlockTask, pack_tasks, run_coalesced
 from repro.serve.cache import PatternCache
-from repro.serve.jobs import (
-    JobResult,
-    JobSpec,
-    JobState,
-    records_sha256,
-)
+from repro.serve.jobs import JobResult, JobSpec, JobState
 from repro.utils.rng import spawn_seeds
 
 #: Default ceiling on one fused batch (shots); oversized single blocks
@@ -205,7 +200,9 @@ class JobServer:
     def submit(self, data: dict) -> str:
         """Validate and enqueue one JSON job object; returns the job id.
         Raises :class:`~repro.mbqc.pattern.PatternError` on a malformed
-        spec (frontends catch and emit an ``error`` event instead)."""
+        spec or one its named engine cannot run (unsupported pattern or
+        over the R101 budget); frontends catch and emit an ``error`` event
+        instead, and no ``accepted`` event is emitted."""
         with self._cond:
             self._job_counter += 1
             default_id = f"job-{self._job_counter}"
@@ -226,11 +223,9 @@ class JobServer:
             pattern, noise=noise
         )
 
-        backend_name = (
-            select_backend(compiled).name
-            if spec.backend == "auto"
-            else get_backend(spec.backend).name
-        )
+        # A named engine passes the same support and R101 budget checks as
+        # automatic dispatch, so a job no worker can run is refused here.
+        backend_name = select_backend(compiled, spec.backend).name
 
         if spec.kind == "verify":
             state = JobState(

@@ -103,15 +103,17 @@ class TestC003ScalarDrawsInLoops:
         assert lint_source(src, NON_KERNEL) == []
 
     def test_allowlisted_reference_path_exempt(self):
-        src = textwrap.dedent(
-            """
-            def run_pattern(ops, rng):
+        body = """
+            def {name}(ops, rng):
                 for op in ops:
                     if rng.random() < 0.5:
                         pass
             """
-        )
+        src = textwrap.dedent(body.format(name="draw_pauli_fault"))
         assert lint_source(src, KERNEL) == []
+        # run_pattern is not allowlisted: the same loop there is flagged.
+        src = textwrap.dedent(body.format(name="run_pattern"))
+        assert codes(lint_source(src, KERNEL)) == ["C003"]
 
     def test_scalar_draw_outside_loop_fine(self):
         src = "def pick(rng):\n    return rng.integers(2)\n"

@@ -156,6 +156,21 @@ class TestDeterminism:
             run_job(compiled, tmp_path / "j", faults=sched, retries=2)
 
 
+    def test_named_engine_over_budget_refused_before_manifest(self, tmp_path):
+        """A named engine passes the R101 budget check up front: ring-40
+        on the dense engine (a 32 TiB register) is refused before any
+        manifest is written, not after three MemoryError retries."""
+        program = compile_qaoa_pattern(
+            MaxCut.ring(40).to_qubo(), [0.4], [0.7]
+        ).executable()
+        job_dir = tmp_path / "j"
+        with pytest.raises(PatternError, match="R101"):
+            run_checkpointed(
+                program, 8, job_dir=str(job_dir), seed=1, backend="statevector"
+            )
+        assert not (job_dir / "job.json").exists()
+
+
 class TestIntegrity:
     """Corrupted block files are detected and re-run, not merged."""
 

@@ -22,7 +22,7 @@ from repro.mbqc import (
     PatternError,
     StatevectorBackend,
     compile_pattern,
-    default_backend,
+    get_backend,
     pattern_to_matrix,
 )
 from repro.mbqc.backend import PatternBackend
@@ -163,11 +163,11 @@ class TestCompiledQAOAPatterns:
 
 
 class TestBackendProtocol:
-    def test_default_backend_is_statevector(self):
-        backend = default_backend()
+    def test_get_backend_statevector_is_shared(self):
+        backend = get_backend("statevector")
         assert isinstance(backend, StatevectorBackend)
         assert backend.name == "statevector"
-        assert default_backend() is backend  # shared instance
+        assert get_backend("statevector") is backend  # shared instance
 
     def test_statevector_backend_satisfies_protocol(self):
         assert isinstance(StatevectorBackend(), PatternBackend)

@@ -31,7 +31,7 @@ from repro.mbqc import (
     run_pattern,
     select_backend,
 )
-from repro.mbqc.backend import DENSE_AUTO_MAX_LIVE, resolve_backend
+from repro.mbqc.backend import DENSE_AUTO_MAX_LIVE
 from repro.mbqc.compile import clifford_word, pauli_of_basis
 from repro.problems import MaxCut
 from repro.sim import MeasurementBasis, StateVector, ZeroProbabilityBranch
@@ -149,12 +149,12 @@ class TestRegistry:
         with pytest.raises(PatternError, match="not Clifford"):
             select_backend(c, "stabilizer")
 
-    def test_resolve_accepts_instance(self):
+    def test_select_accepts_instance(self):
         p = Pattern(input_nodes=[], output_nodes=[0])
         p.n(0)
         c = compile_pattern(p)
         engine = StatevectorBackend()
-        assert resolve_backend(engine, c) is engine
+        assert select_backend(c, engine) is engine
 
 
 def _reachable_branch(compiled, seed=0):

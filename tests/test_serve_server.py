@@ -319,6 +319,27 @@ class TestServerReceipts:
                 events.append(sub.get())
         assert any(e.get("event") == "done" and e.get("job") == "ok" for e in events)
 
+    def test_unrunnable_named_engine_refused_at_submit(self):
+        """A non-Clifford job forced onto the stabilizer engine is refused
+        by submit (no ``accepted`` event), not failed later by a worker."""
+        bad = job(id="bad", problem="ring:4", backend="stabilizer", noise=0.0)
+        with JobServer(executor="inline") as srv:
+            sub = srv.subscribe()
+            with pytest.raises(PatternError, match="not Clifford"):
+                srv.submit(bad)
+            events = []
+            while not sub.empty():
+                events.append(sub.get())
+        assert not any(e.get("event") == "accepted" for e in events)
+        srv = JobServer(executor="inline")
+        out = io.StringIO()
+        failures = serve_stdin(srv, [json.dumps(bad)], out)
+        srv.close()
+        assert failures == 1
+        events = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [e["event"] for e in events] == ["error"]
+        assert events[0]["job"] == "bad" and "not Clifford" in events[0]["error"]
+
 
 class TestFrontends:
     def test_stdin_round_trip(self, tmp_path):
