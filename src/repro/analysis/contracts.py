@@ -18,8 +18,8 @@ sees, so this module enforces them structurally over ``src/``:
     ``repro.sim``) a generator must not make scalar draws inside a
     ``for``/``while`` loop: per-op draws make the consumed stream depend
     on data order, which breaks the whole-block draw tables that keep
-    seeded records bit-identical across chunk sizes.  The documented
-    scalar draw paths (:data:`C003_ALLOW`) are exempt.
+    seeded records bit-identical across chunk sizes.  No scope is
+    exempt.
 
 Run via :func:`lint_tree` (pytest + CI) or ``repro lint --contracts``.
 """
@@ -38,11 +38,6 @@ RNG_MODULE_SUFFIXES = ("repro/utils/rng.py",)
 
 #: Path fragments identifying the kernel packages C003 covers.
 KERNEL_PACKAGE_FRAGMENTS = ("repro/mbqc/", "repro/stab/", "repro/sim/")
-
-#: Enclosing function/class names exempt from C003 — the documented
-#: scalar trajectory draw paths whose draw order is part of their
-#: contract (each one's docstring says so).
-C003_ALLOW = frozenset({"draw_pauli_fault", "_GeneratorDraws"})
 
 #: ``np.random`` attributes that are legitimate non-drawing references
 #: (types for annotations/isinstance, the sanctioned constructor which
@@ -111,7 +106,6 @@ class _ContractVisitor(ast.NodeVisitor):
         self.filename = filename
         self.in_kernel = in_kernel
         self.diagnostics: List[Diagnostic] = []
-        self._scope: List[str] = []
         self._loop_depth = 0
 
     def _emit(self, code: str, severity: Severity, message: str, node: ast.AST) -> None:
@@ -125,23 +119,14 @@ class _ContractVisitor(ast.NodeVisitor):
             )
         )
 
-    # -- scope / loop tracking -------------------------------------------
-    def _visit_scoped(self, node: ast.AST, name: str) -> None:
-        self._scope.append(name)
+    # -- loop tracking ---------------------------------------------------
+    def _visit_scoped(self, node: ast.AST) -> None:
         # a new function body is not lexically "inside" the outer loop
         saved, self._loop_depth = self._loop_depth, 0
         self.generic_visit(node)
         self._loop_depth = saved
-        self._scope.pop()
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_scoped(node, node.name)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_scoped(node, node.name)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._visit_scoped(node, node.name)
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _visit_scoped
 
     def _visit_loop(self, node: ast.AST) -> None:
         self._loop_depth += 1
@@ -194,15 +179,12 @@ class _ContractVisitor(ast.NodeVisitor):
             self.in_kernel
             and self._loop_depth > 0
             and _is_scalar_draw(node)
-            and not any(name in C003_ALLOW for name in self._scope)
         ):
             self._emit(
                 "C003",
                 Severity.ERROR,
                 "scalar RNG draw inside a loop; hoist to one whole-block "
-                "draw (size=...) so the consumed stream is data-independent, "
-                "or add the enclosing scope to C003_ALLOW if this is a "
-                "documented scalar draw path",
+                "draw (size=...) so the consumed stream is data-independent",
                 node,
             )
         self.generic_visit(node)

@@ -9,13 +9,13 @@ formula ``chunk = budget // per_shot_bytes``, clamped to 1).
 
 Per-engine byte models come from the backend registry: any registered
 engine exposing a ``bytes_per_shot(compiled)`` hook contributes a row
-(:func:`repro.mbqc.backend.list_backends` names them), so a newly
+(:func:`repro.mbqc.backend.available_backends` names them), so a newly
 registered engine appears in estimates, reports, and the R101 budget
 gate without touching this module.  The built-in models:
 ``16 · 2^max_live`` dense amplitudes (statevector), ``16 · 4^max_live``
 (density, with ~2x transient kernel temporaries), ``4·n² + 2·n`` tableau
-bytes over ``n = total_nodes`` (stabilizer scalar path; the bit-packed
-batched path is strictly cheaper), and the bonded ``2 · n · chi² · 16``
+bytes over ``n = total_nodes`` (stabilizer branch runs; the bit-packed
+batched sampler is strictly cheaper), and the bonded ``2 · n · chi² · 16``
 estimate (mps).
 
 Two branch bounds reproduce the density engine's integration costs, both
@@ -186,7 +186,7 @@ def _registry_engine_bytes(
     _backends = importlib.import_module("repro.mbqc.backend")
 
     rows: List[Tuple[str, int, str]] = []
-    for name in _backends.list_backends():
+    for name in _backends.available_backends():
         engine = _backends.get_backend(name)
         hook = getattr(engine, "bytes_per_shot", None)
         if hook is None:
@@ -292,21 +292,6 @@ def budget_diagnostic_message(
         "or `repro lint`"
     )
     return "\n".join(lines)
-
-
-def estimate_report_rows(est: ResourceEstimate) -> Tuple[Tuple[str, str], ...]:
-    """Structured ``(field, value)`` rows for machine consumption (CLI
-    ``--json`` style consumers; mirrors :meth:`ResourceEstimate.format`)."""
-    rows: List[Tuple[str, str]] = [
-        ("max_live", str(est.max_live)),
-        ("total_nodes", str(est.total_nodes)),
-        ("n_measured", str(est.n_measured)),
-    ]
-    for name, nbytes, _ in est._rows():
-        rows.append((f"{name}_bytes_per_shot", str(nbytes)))
-    rows.append(("branch_bound", str(est.branch_bound)))
-    rows.append(("merged_branch_bound", str(est.merged_branch_bound)))
-    return tuple(rows)
 
 
 def cache_diagnostics(stats: object) -> Tuple["Diagnostic", ...]:

@@ -74,7 +74,7 @@ from repro.core.reuse import reuse_summary
 from repro.core.verify import check_pattern_determinism
 from repro.mbqc import (
     PatternError,
-    list_backends,
+    available_backends,
     lower_noise,
     select_backend,
 )
@@ -556,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_compile)
 
     backend_kwargs = dict(
-        choices=["auto", *list_backends()],
+        choices=["auto", *available_backends()],
         default="auto",
         help="pattern-execution engine (auto dispatches Clifford patterns "
         "to the stabilizer tableau beyond dense reach and bounded-"

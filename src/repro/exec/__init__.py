@@ -19,7 +19,6 @@ from repro.exec.checkpoint import (
     atomic_write_bytes,
     block_path,
     job_fingerprint,
-    job_status,
     load_block,
     load_manifest,
     plan_blocks,
@@ -58,7 +57,6 @@ __all__ = [
     "atomic_write_bytes",
     "block_path",
     "job_fingerprint",
-    "job_status",
     "load_block",
     "load_manifest",
     "plan_blocks",

@@ -553,25 +553,3 @@ def run_checkpointed(
         events=events,
     )
 
-
-def job_status(job_dir: str, compiled: CompiledPattern) -> dict:
-    """A summary of a job directory: manifest parameters plus which
-    blocks currently pass integrity checks (``repro run --resume`` prints
-    this before finishing the job)."""
-    manifest = load_manifest(job_dir)
-    if manifest is None:
-        raise PatternError(f"no checkpoint manifest in {job_dir}")
-    plans = plan_blocks(int(manifest["n_shots"]), int(manifest["block_shots"]))
-    n_measured = len(compiled.measured_nodes)
-    fingerprint = manifest["fingerprint"]
-    valid = [
-        p.index
-        for p in plans
-        if load_block(job_dir, fingerprint, p, n_measured) is not None
-    ]
-    return {
-        "manifest": manifest,
-        "n_blocks": len(plans),
-        "valid_blocks": valid,
-        "missing_blocks": [p.index for p in plans if p.index not in set(valid)],
-    }

@@ -213,13 +213,6 @@ def apply_worker_fault(descriptor: Optional[Tuple[str, float]]) -> None:
     raise ValueError(f"fault kind {kind!r} cannot run in a shard worker")
 
 
-def _exit_now(*_args, **_kwargs):  # pragma: no cover - dies by design
-    """Module-level crasher, picklable by qualified name: substituting it
-    for a pool's worker entry simulates unconditional worker death (used
-    by the ``BrokenProcessPool``-to-``PatternError`` regression test)."""
-    os._exit(13)
-
-
 def corrupt_block_file(path: str, mode: str) -> None:
     """Corrupt a persisted checkpoint block file in place.
 

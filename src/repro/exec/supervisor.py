@@ -1,8 +1,10 @@
 """Supervised sharded exact integration.
 
-:func:`supervised_integrate` is ``DensityMatrixBackend.integrate(shards=N)``
-with a survival layer wrapped around the worker pool.  The plain sharded
-path treats any worker failure as fatal — a timeout hangs the join, an
+:func:`supervised_integrate` is the one sharded exact integrator: it runs
+``DensityMatrixBackend.integrate``'s frontier in-process until it is
+``shards`` branches wide, then finishes contiguous frontier slices in a
+worker pool with a survival layer around it.  An unsupervised pool would
+treat any worker failure as fatal — a timeout hangs the join, an
 OOM-killed worker surfaces as ``BrokenProcessPool`` and the whole frontier
 is lost.  Here every shard is a supervised *task*:
 
@@ -27,10 +29,11 @@ Determinism: integration draws no randomness, shard partials join in
 deterministic slice order (re-split children sum inside their parent's
 slot), and a retried shard recomputes the identical partial — so a
 supervised run with same-slice retries or in-process fallback is
-**bit-identical** to the unsupervised run.  Re-splitting changes the
-*association* of the partial sums, which floating-point addition does not
-preserve exactly; re-split runs agree with the unsupervised result to
-~1e-12 relative error (certified in ``tests/test_exec_supervisor.py``).
+**bit-identical** to a clean run with the same ``shards``.  Re-splitting
+changes the *association* of the partial sums, which floating-point
+addition does not preserve exactly; re-split runs agree with the clean
+result to ~1e-12 relative error (certified in
+``tests/test_exec_supervisor.py``).
 
 Fault injection: a :class:`~repro.exec.faults.FaultSchedule` with site
 ``"shard"`` delivers crashes, ``MemoryError``, or sleeps *inside* chosen
@@ -59,11 +62,12 @@ from repro.mbqc.density_backend import (
     _FrontierState,
     _frontier_advance,
     _frontier_collapse,
+    _frontier_root,
     _integrate_shard,
     _ZERO_PROB,
 )
 from repro.mbqc.pattern import PatternError
-from repro.sim.density_batched import BatchedDensityMatrix, _batch_traces
+from repro.sim.density_batched import _batch_traces
 
 
 def _supervised_shard(
@@ -77,7 +81,7 @@ def _supervised_shard(
     fault_descriptor: Optional[Tuple[str, float]],
 ) -> Tuple[np.ndarray, int, float]:
     """Worker entry: optionally deliver an injected fault, then resume the
-    frontier slice exactly like the unsupervised ``_integrate_shard``."""
+    frontier slice with ``_integrate_shard``."""
     apply_worker_fault(fault_descriptor)
     return _integrate_shard(
         compiled, op_index, tensor, bits, live, prune_tol, max_block_bytes
@@ -159,13 +163,16 @@ def supervised_integrate(
 ) -> SupervisedDensityRun:
     """Exact sharded integration that survives worker failure.
 
-    Applies the same guards and produces the same result as
-    ``get_backend("density").integrate(..., shards=shards)`` (bit-identical
-    when no re-split was needed; ~1e-12 relative after a re-split), but
-    wraps the shard pool in timeout / retry / re-split / in-process
-    recovery and returns a :class:`SupervisedDensityRun` whose
+    Applies the same guards as ``get_backend("density").integrate`` and
+    agrees with it to ~1e-12 relative (the shard partials re-associate the
+    frontier sum; with ``shards=1`` or a frontier that never reaches
+    ``shards`` branches the run stays in-process and is bit-identical).
+    The shard pool is wrapped in timeout / retry / re-split / in-process
+    recovery, and the returned :class:`SupervisedDensityRun`'s
     ``supervision`` report lists every R103 (shard timeout) and R104
-    (worker death or error) event.
+    (worker death or error) event.  Recovery by same-slice retry or
+    in-process fallback is bit-identical to a clean run with the same
+    ``shards``; a re-split agrees to ~1e-12 relative.
 
     ``retries`` bounds same-slice re-runs per task; ``shard_timeout`` is
     the per-shard wall-clock budget in seconds (``None`` = unbounded);
@@ -185,12 +192,9 @@ def supervised_integrate(
     )
     report = SupervisionReport(shards=shards)
 
-    t0 = BatchedDensityMatrix.from_pure_rows(row[None, :])._t
-    bits = np.zeros((1, plan.n_reads), dtype=np.int8)
-    state = _FrontierState(0, t0, bits, compiled.num_inputs, 1, 0.0)
     state = _frontier_advance(
-        compiled, plan, state, prune_tol, max_block_bytes,
-        stop_width=shards if shards > 1 else None,
+        compiled, plan, _frontier_root(compiled, plan, row), prune_tol,
+        max_block_bytes, stop_width=shards if shards > 1 else None,
     )
     if state.op_index >= len(compiled.ops):
         acc = _frontier_collapse(compiled, state.tensor)
@@ -347,7 +351,7 @@ def _finish_fields(
 ) -> dict:
     """The :class:`DensityRun` constructor fields of a finished
     integration, via the density backend's own finisher so normalization
-    and trace accounting stay identical to the unsupervised path."""
+    and trace accounting stay identical to ``integrate``."""
     run = backend._finish_run(compiled, acc, branches, dropped)
     return dict(
         rho=run.rho, branches=run.branches, trace=run.trace,

@@ -49,11 +49,9 @@ from repro.mbqc.backend import (
     StabilizerBackend,
     StabilizerOutput,
     StatevectorBackend,
-    draw_pauli_fault,
     draw_pauli_fault_batch,
     available_backends,
     get_backend,
-    list_backends,
     register_backend,
     select_backend,
 )
@@ -109,7 +107,6 @@ __all__ = [
     "StabilizerBackend",
     "StabilizerOutput",
     "PackedStabilizerOutput",
-    "draw_pauli_fault",
     "draw_pauli_fault_batch",
     "DensityMatrixBackend",
     "DensityOutput",
@@ -118,7 +115,6 @@ __all__ = [
     "MPSOutput",
     "available_backends",
     "get_backend",
-    "list_backends",
     "register_backend",
     "select_backend",
     "pattern_to_matrix",

@@ -468,6 +468,26 @@ def _check_branch(compiled: CompiledPattern, forced_outcomes) -> Dict[int, int]:
     return {node: forced_outcomes[node] for node in compiled.measured_nodes}
 
 
+def _check_forced(
+    compiled: CompiledPattern, forced_outcomes: Optional[Mapping[int, int]]
+) -> Dict[int, int]:
+    """Validate ``sample_batch``'s partial ``forced_outcomes``: every key a
+    measured node, every bit 0 or 1 (shared by all four engines)."""
+    forced = dict(forced_outcomes or {})
+    measured = set(compiled.measured_nodes)
+    unknown = sorted(n for n in forced if n not in measured)
+    if unknown:
+        raise PatternError(
+            f"forced outcomes name nodes the pattern never measures: {unknown}"
+        )
+    for node, bit in forced.items():
+        if bit not in (0, 1):
+            raise PatternError(
+                f"forced outcome for node {node} must be 0 or 1, got {bit!r}"
+            )
+    return {node: int(bit) for node, bit in forced.items()}
+
+
 class StatevectorBackend:
     """Dense batched-statevector execution (applicable to every pattern
     except programs carrying lowered non-Pauli channels, which cannot be
@@ -537,7 +557,7 @@ class StatevectorBackend:
         # drop and `states` is always filled.
         _check_n_shots(n_shots, self.name)
         rng = ensure_rng(rng)
-        forced = dict(forced_outcomes or {})
+        forced = _check_forced(compiled, forced_outcomes)
         if noise is not None:
             compiled = lower_noise(compiled, noise)
         row = _input_row(compiled, input_state, self.name)
@@ -684,22 +704,31 @@ class StabilizerBackend:
     byte_model_note = "total-nodes scalar tableau"
 
     def supports(self, compiled: CompiledPattern) -> bool:
-        return compiled.is_clifford
+        return compiled.is_clifford and _batch_applicable(compiled)
 
     def bytes_per_shot(self, compiled: CompiledPattern) -> int:
         """``4·n² + 2·n`` tableau bytes over ``n = total_nodes`` (the
-        scalar per-shot tableau; the bit-packed batched path is strictly
+        scalar branch-run tableau; the bit-packed batched sweep is strictly
         cheaper) — the resource-estimator registry hook."""
         n = self._total_nodes(compiled)
         return 4 * n * n + 2 * n
 
-    def _require_clifford(self, compiled: CompiledPattern) -> None:
+    def _require_supported(self, compiled: CompiledPattern) -> None:
+        """Refuse, loudly, every program :meth:`supports` rejects."""
         if not compiled.is_clifford:
             raise PatternError(
                 "pattern is not Clifford (a measurement basis is not Pauli, a "
                 "correction is not a single-qubit Clifford, or a lowered "
                 "channel is not a Pauli mixture); run it on the statevector "
                 "or density backend instead"
+            )
+        if not _batch_applicable(compiled):
+            raise PatternError(
+                f"the {self.name} engine cannot execute this op stream: a "
+                f"conditional is not a Pauli or a measurement's effective "
+                f"bases span several Pauli axes, so the shots' tableau "
+                f"structures would diverge; run it on the statevector or "
+                f"density backend instead"
             )
 
     # -- input handling ----------------------------------------------------
@@ -714,8 +743,8 @@ class StabilizerBackend:
 
         ``kind`` is ``"basis"`` (computational column ``bits``) or
         ``"uniform"`` (the ``|+>^k`` row); ``log2w`` is the log-2 squared
-        input norm.  Shared by the scalar and the batched initializers so
-        the two execution paths cannot diverge on input acceptance.
+        input norm.  Shared by the branch-run and the sampling initializers
+        so the two entry points cannot diverge on input acceptance.
         """
         nz = np.nonzero(np.abs(row) > 1e-12)[0]
         if nz.size == 1:
@@ -756,23 +785,19 @@ class StabilizerBackend:
                 st.h(q)
         return st, log2_w
 
-    # -- per-shot (scalar) execution ----------------------------------------
+    # -- forced-branch execution ---------------------------------------------
     def _run_one(
         self,
         compiled: CompiledPattern,
         st: Optional[StabilizerState],
         log2_weight: float,
-        draws,
         forced: Mapping[int, int],
-    ) -> Tuple[StabilizerOutput, Dict[int, int]]:
-        """Execute one trajectory/branch on one (preallocated) tableau.
-
-        ``forced`` pins outcomes for the nodes it contains; the rest are
-        sampled through ``draws`` (a :class:`_GeneratorDraws` on the
-        per-shot sampler; branch runs, which force everything and are
-        noiseless-checked, pass ``None``).  Replays the compiled slot
-        dynamics against monotonically assigned tableau columns:
-        ``slot_cols[s]`` is the column of the node currently in slot ``s``.
+    ) -> StabilizerOutput:
+        """Execute one noiseless branch, every outcome pinned by ``forced``,
+        on one (preallocated) tableau — no randomness is drawn.  Replays
+        the compiled slot dynamics against monotonically assigned tableau
+        columns: ``slot_cols[s]`` is the column of the node currently in
+        slot ``s``.
         """
         next_col = compiled.num_inputs
         slot_cols = list(range(next_col))
@@ -792,22 +817,15 @@ class StabilizerBackend:
                 slot_cols.append(col)
             elif tp is EntangleOp:
                 st.cz(slot_cols[op.slots[0]], slot_cols[op.slots[1]])
-            elif tp is ChannelOp:
-                if draws is not None:
-                    i = draws.fault(op)
-                    if i >= 0:
-                        st.apply_named(_PAULI_GATES[i], (slot_cols[op.slot],))
             elif tp is MeasureOp:
                 s = signal_parity(outcomes, op.s_domain)
                 t = signal_parity(outcomes, op.t_domain)
                 label, flip = op.pauli[s + 2 * t]
                 col = slot_cols.pop(op.slot)
-                pinned = forced.get(op.node)
+                pinned = forced[op.node]
                 try:
-                    tab_out, prob = st.measure_pauli_info(
-                        col, label,
-                        rng=None if draws is None else draws.outcome,
-                        force=None if pinned is None else pinned ^ flip,
+                    _, prob = st.measure_pauli_info(
+                        col, label, force=pinned ^ flip
                     )
                 except ForcedOutcomeContradiction:
                     raise ZeroProbabilityBranch(
@@ -816,21 +834,17 @@ class StabilizerBackend:
                     ) from None
                 if prob == 0.5:  # random outcome; deterministic ones weigh 1
                     log2_weight -= 1.0
-                out = tab_out ^ flip
-                if op.flip_p > 0.0 and draws is not None and draws.flip(op.flip_p):
-                    out ^= 1  # readout flip corrupts downstream adaptivity
-                outcomes[op.node] = out
-            elif tp is ConditionalOp:
-                if signal_parity(outcomes, op.domain):
-                    col = slot_cols[op.slot]
-                    for name in op.clifford:
-                        st.apply_named(name, (col,))
-            else:  # UnitaryOp
+                outcomes[op.node] = pinned
+            else:  # ConditionalOp / UnitaryOp
+                if tp is ConditionalOp and not signal_parity(
+                    outcomes, op.domain
+                ):
+                    continue
                 col = slot_cols[op.slot]
                 for name in op.clifford:
                     st.apply_named(name, (col,))
         out_cols = tuple(slot_cols[s] for s in compiled.out_perm)
-        return StabilizerOutput(st, out_cols, log2_weight), outcomes
+        return StabilizerOutput(st, out_cols, log2_weight)
 
     def run_branch_batch(
         self,
@@ -838,7 +852,7 @@ class StabilizerBackend:
         inputs: np.ndarray,
         forced_outcomes: Mapping[int, int],
     ) -> BranchRun:
-        self._require_clifford(compiled)
+        self._require_supported(compiled)
         _check_branch_noiseless(compiled, self.name)
         forced = _check_branch(compiled, forced_outcomes)
         inputs = np.asarray(inputs, dtype=complex)
@@ -852,8 +866,7 @@ class StabilizerBackend:
         raw: List[StabilizerOutput] = []
         for row in inputs:
             st, log2_w = self._init_tableau(compiled, row, n_total)
-            out, _ = self._run_one(compiled, st, log2_w, None, forced)
-            raw.append(out)
+            raw.append(self._run_one(compiled, st, log2_w, forced))
         return BranchRun(
             outcomes=forced,
             weights=np.array([o.weight for o in raw]),
@@ -876,87 +889,29 @@ class StabilizerBackend:
         Advances one :class:`~repro.stab.batched.BatchedTableau` — a shared
         bit-packed GF(2) structure with per-shot packed sign bits — through
         a single compiled-op sweep (the tableau analogue of the dense
-        engine's ``measure_sampled``/``apply_1q_masked`` sweep).  Programs
-        the batched tableau cannot execute (an empty register, or a
-        hand-built op stream with a non-Pauli conditional word or a
-        measurement whose effective bases span several Pauli axes — see
-        :func:`_batch_applicable`) run on a per-shot loop instead, drawing
-        straight from the generator; the program alone picks the path.
-
-        ``keep_raw`` (default off) controls whether per-shot outputs are
-        retained: the batched sweep keeps them as O(n_out)-per-shot
-        :class:`PackedStabilizerOutput` views into one shared extraction,
-        the per-shot loop as full :class:`StabilizerOutput` tableaus.
-        """
-        _check_n_shots(n_shots, self.name)
-        rng = ensure_rng(rng)
-        forced = dict(forced_outcomes or {})
-        if noise is not None:
-            compiled = lower_noise(compiled, noise)
-        self._require_clifford(compiled)
-        row = _input_row(compiled, input_state, self.name)
-        if n_shots == 0:
-            return _empty_sample_run(compiled, keep_raw)
-        n_total = self._total_nodes(compiled)
-        if n_total > 0 and _batch_applicable(compiled):
-            return self._sample_batch_vectorized(
-                compiled, n_shots, rng, row, forced, keep_raw, n_total
-            )
-        return self._sample_per_shot(
-            compiled, n_shots, rng, row, forced, keep_raw, n_total
-        )
-
-    def _sample_per_shot(
-        self,
-        compiled: CompiledPattern,
-        n_shots: int,
-        rng,
-        row: np.ndarray,
-        forced: Mapping[int, int],
-        keep_raw: bool,
-        n_total: int,
-    ) -> SampleRun:
-        """Per-shot sampler for programs the batched tableau rejects: one
-        scalar tableau per shot, plain per-shot generator draws.  A
-        non-Pauli conditional diverges the X/Z structure per shot (and with
-        it which later measurements are random), so the draw schedule is
-        shot-dependent and sequential draws are the only correct contract.
-        """
-        draws = _GeneratorDraws(rng)
-        raw: List[StabilizerOutput] = []
-        outs = np.zeros((n_shots, len(compiled.measured_nodes)), dtype=np.int8)
-        for j in range(n_shots):
-            st, log2_w = self._init_tableau(compiled, row, n_total)
-            out, outcomes = self._run_one(compiled, st, log2_w, draws, forced)
-            if keep_raw:
-                raw.append(out)
-            for i, node in enumerate(compiled.measured_nodes):
-                outs[j, i] = outcomes[node]
-        return SampleRun(
-            nodes=compiled.measured_nodes,
-            outcomes=outs,
-            raw=tuple(raw) if keep_raw else None,
-        )
-
-    def _sample_batch_vectorized(
-        self,
-        compiled: CompiledPattern,
-        n_shots: int,
-        rng,
-        row: np.ndarray,
-        forced: Mapping[int, int],
-        keep_raw: bool,
-        n_total: int,
-    ) -> SampleRun:
-        """One compiled-op sweep over the whole shot block.
-
+        engine's ``measure_sampled``/``apply_1q_masked`` sweep).
         Unconditional Cliffords update the shared packed structure once;
         per-shot divergence (adaptive corrections, Pauli faults, readout
         flips, outcome records) lives entirely in packed shot words.
         Grouped op runs (:attr:`CompiledPattern.grouped_ops`) keep the
-        Python dispatch per *run* of same-kind ops.
+        Python dispatch per *run* of same-kind ops.  Programs the batched
+        tableau cannot execute (see :func:`_batch_applicable`) are refused
+        with a :class:`PatternError`.
+
+        ``keep_raw`` (default off) retains per-shot outputs as
+        O(n_out)-per-shot :class:`PackedStabilizerOutput` views into one
+        shared extraction.
         """
-        tab = BatchedTableau(n_total, n_shots)
+        _check_n_shots(n_shots, self.name)
+        rng = ensure_rng(rng)
+        forced = _check_forced(compiled, forced_outcomes)
+        if noise is not None:
+            compiled = lower_noise(compiled, noise)
+        self._require_supported(compiled)
+        row = _input_row(compiled, input_state, self.name)
+        if n_shots == 0:
+            return _empty_sample_run(compiled, keep_raw)
+        tab = BatchedTableau(self._total_nodes(compiled), n_shots)
         kind, bits, log2_w = self._classify_input_row(row)
         if kind == "basis":
             for q in range(compiled.num_inputs):
@@ -1058,39 +1013,6 @@ class StabilizerBackend:
         )
 
 
-def draw_pauli_fault(op: ChannelOp, rng) -> Optional[int]:
-    """Sample ``op``'s Pauli mixture once: X/Y/Z index, or ``None`` for
-    identity.  The single-trajectory draw of the stabilizer engine's
-    per-shot loop (:class:`_GeneratorDraws`).
-
-    **Seeded-stream compatibility contract.**  This scalar path keeps the
-    historical draw order (for a uniform mixture: one ``rng.random()`` fire
-    draw, then — only when fired — one ``rng.integers(3)`` pick), so
-    seeded per-shot stabilizer trajectories reproduce across releases.  The
-    batched samplers instead consume :func:`draw_pauli_fault_batch` — one
-    ``(n_shots,)`` vector draw per channel op with a fixed threshold
-    layout — which is a *different* stream by design: a scalar trajectory
-    and element ``j`` of a batched run agree in distribution but not bit
-    for bit.  Within the batched world the contract is strict: every
-    chunking of a batched sweep consumes the identical vector-draw
-    schedule and is bit-identical for a given seed."""
-    _, px, py, pz = _require_pauli_channel(op)
-    if px == py == pz:
-        # Uniform (depolarizing) mixture: keep the historical draw pattern
-        # so seeded trajectories reproduce across the refactor.
-        p = 3.0 * px
-        if p > 0.0 and rng.random() < p:
-            return int(rng.integers(3))
-        return None
-    u = rng.random()
-    lo = 1.0 - (px + py + pz)
-    for i, p in enumerate((px, py, pz)):
-        if lo <= u < lo + p:
-            return i
-        lo += p
-    return None
-
-
 def draw_pauli_fault_batch(
     op: ChannelOp, rng, n_shots: int
 ) -> Optional[np.ndarray]:
@@ -1101,9 +1023,8 @@ def draw_pauli_fault_batch(
     mixture carries no error weight.  The single ``rng.random(n_shots)``
     draw is partitioned by the cumulative threshold layout
     ``[identity | X | Y | Z]``, so the consumed stream is a fixed function
-    of the op — unlike the scalar :func:`draw_pauli_fault`, whose
-    second draw is conditional on firing (see the seeded-stream contract
-    there)."""
+    of the op and every chunking of a batched sweep consumes the identical
+    draw schedule (bit-identical seeded records)."""
     _, px, py, pz = _require_pauli_channel(op)
     total = px + py + pz
     if total <= 0.0:
@@ -1190,30 +1111,6 @@ class _ShotDrawTable:
         )
 
 
-class _GeneratorDraws:
-    """Per-shot scalar draws straight from the generator, historical order.
-
-    The draw source for the stabilizer engine's per-shot loop over programs
-    the batched tableau cannot execute: their draw schedule may be
-    *shot-dependent* (a non-Pauli conditional diverges the X/Z structure
-    per shot, changing which later measurements are random), so no
-    whole-block vector table applies and plain sequential draws are the
-    only correct contract."""
-
-    def __init__(self, rng):
-        self._rng = rng
-
-    def outcome(self) -> int:
-        return int(self._rng.integers(2))
-
-    def flip(self, p: float) -> bool:
-        return bool(self._rng.random() < p)
-
-    def fault(self, op: ChannelOp) -> int:
-        i = draw_pauli_fault(op, self._rng)
-        return -1 if i is None else i
-
-
 def _parity_words(
     rec: Dict[int, np.ndarray], domain, wb: int
 ) -> np.ndarray:
@@ -1252,8 +1149,9 @@ def _batch_applicable(compiled: CompiledPattern) -> bool:
     each measurement's four effective bases must share one Pauli axis so
     the adaptive part reduces to the flip bit.  All compiler-produced
     Clifford programs qualify (corrections lower to X/Z, and negating an
-    angle or adding π preserves a Pauli axis); the guard protects against
-    hand-built op streams, which run on the per-shot loop."""
+    angle or adding π preserves a Pauli axis); the guard refuses
+    hand-built op streams that break this (:meth:`StabilizerBackend
+    .supports` is false for them)."""
     for op in compiled.ops:
         tp = type(op)
         if tp is MeasureOp:
@@ -1280,15 +1178,10 @@ def register_backend(backend: PatternBackend, name: Optional[str] = None) -> Non
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Registered engine names."""
+    """Registered engine names (the CLI derives its ``--backend`` choices
+    from them at parse time, so a newly registered engine appears
+    everywhere without touching ``cli.py``)."""
     return tuple(sorted(_REGISTRY))
-
-
-def list_backends() -> Tuple[str, ...]:
-    """Registered engine names — the stable consumer-facing alias the CLI
-    derives its ``--backend`` choices from at parse time, so a newly
-    registered engine appears everywhere without touching ``cli.py``."""
-    return available_backends()
 
 
 def get_backend(name: str) -> PatternBackend:
@@ -1374,14 +1267,17 @@ def select_backend(
     if prefer != "auto":
         backend = get_backend(prefer)
         if not backend.supports(compiled):
-            raise PatternError(
-                f"backend {prefer!r} cannot execute this pattern"
-                + (
+            hint = ""
+            if prefer == "stabilizer":
+                hint = (
                     ": it is not Clifford (non-Pauli measurement bases or "
-                    "non-Clifford corrections); use 'statevector' or 'auto'"
-                    if prefer == "stabilizer"
-                    else ""
-                )
+                    "non-Clifford corrections)"
+                    if not compiled.is_clifford
+                    else ": a conditional is not a Pauli or a measurement's "
+                    "bases span several Pauli axes"
+                ) + "; use 'statevector' or 'auto'"
+            raise PatternError(
+                f"backend {prefer!r} cannot execute this pattern{hint}"
             )
         _check_byte_budget(compiled, backend.name, max_bytes)
         return backend

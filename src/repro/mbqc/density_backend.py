@@ -31,8 +31,8 @@ an exact Kraus map.  Three execution modes:
   parity are merged by summing their unnormalized tensors (live-parity
   merging, :func:`repro.mbqc.compile.signal_liveness`) — so cost scales
   with the number of distinguishable future-read parity patterns, not
-  raw ``2^m``.  ``shards=N`` splits the post-prefix frontier across
-  worker processes.
+  raw ``2^m``.  :func:`repro.exec.supervised_integrate` splits the
+  post-prefix frontier across supervised worker processes.
 
 Every entry point is certified against one deliberately naive
 dense-matrix oracle (``tests/oracle.py``) by the differential harness in
@@ -45,9 +45,6 @@ all three backends execute the identical noise program.
 
 from __future__ import annotations
 
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -57,6 +54,7 @@ from repro.mbqc.backend import (
     BranchRun,
     SampleRun,
     _check_branch,
+    _check_forced,
     _check_n_shots,
     _empty_sample_run,
     _input_row,
@@ -166,10 +164,11 @@ class DensityRun:
     """Result of exact channel integration over all outcome branches.
 
     ``rho`` is the exact noisy output state; ``branches`` is the peak
-    post-merge frontier width, the branch work actually done (with
-    ``shards``, the sum of the shard peaks).  Pruning is observable instead
-    of silent: ``trace`` is ``Tr ρ`` as integrated (1.0 exactly when nothing
-    was pruned, up to float error) and ``dropped_weight`` is the total
+    post-merge frontier width, the branch work actually done (for a
+    sharded :func:`repro.exec.supervised_integrate` run, the sum of the
+    shard peaks).  Pruning is observable instead of silent: ``trace`` is
+    ``Tr ρ`` as integrated (1.0 exactly when nothing was pruned, up to
+    float error) and ``dropped_weight`` is the total
     probability mass of branches discarded by ``prune_tol``, so
     ``trace + dropped_weight ≈ 1``.
     """
@@ -451,6 +450,16 @@ def _frontier_advance(
     return _FrontierState(i, t, bits, live, peak, dropped)
 
 
+def _frontier_root(
+    compiled: CompiledPattern, plan: _FrontierPlan, row: np.ndarray
+) -> _FrontierState:
+    """The one-branch frontier before the first op: the input row as a
+    pure density tensor, every parity record zero."""
+    t0 = BatchedDensityMatrix.from_pure_rows(row[None, :])._t
+    bits = np.zeros((1, plan.n_reads), dtype=np.int8)
+    return _FrontierState(0, t0, bits, compiled.num_inputs, 1, 0.0)
+
+
 def _frontier_collapse(compiled: CompiledPattern, tensor: np.ndarray) -> np.ndarray:
     """Permute each branch to output order and sum the frontier — the
     integrated (unnormalized) output tensor."""
@@ -468,11 +477,12 @@ def _integrate_shard(
     prune_tol: float,
     max_block_bytes: Optional[int],
 ) -> Tuple[np.ndarray, int, float]:
-    """Worker entry for ``integrate(..., shards=N)``: resume one suspended
-    frontier slice to completion and return its collapsed partial sum plus
-    accounting.  Module-level (picklable) and plan-rebuilding, so the
-    payload is just the compiled pattern and the slice arrays; with no
-    randomness anywhere in integration, the join is deterministic."""
+    """Shard worker of :func:`repro.exec.supervised_integrate`: resume one
+    suspended frontier slice to completion and return its collapsed
+    partial sum plus accounting.  Module-level (picklable) and
+    plan-rebuilding, so the payload is just the compiled pattern and the
+    slice arrays; with no randomness anywhere in integration, the join is
+    deterministic."""
     plan = _frontier_plan(compiled)
     state = _FrontierState(op_index, tensor, bits, live, tensor.shape[0], 0.0)
     state = _frontier_advance(compiled, plan, state, prune_tol, max_block_bytes)
@@ -765,7 +775,7 @@ class DensityMatrixBackend:
             compiled = lower_noise(compiled, noise)
         self._require_reach(compiled)
         rng = ensure_rng(rng)
-        forced = dict(forced_outcomes or {})
+        forced = _check_forced(compiled, forced_outcomes)
         row = _input_row(compiled, input_state, self.name)
         row = row / np.linalg.norm(row)
         if n_shots == 0:
@@ -848,7 +858,6 @@ class DensityMatrixBackend:
         prune_tol: float = _ZERO_PROB,
         max_branches: int = DENSITY_MAX_BRANCHES,
         max_block_bytes: Optional[int] = None,
-        shards: int = 1,
     ) -> DensityRun:
         """Integrate the (noisy) pattern exactly over every outcome branch.
 
@@ -866,24 +875,23 @@ class DensityMatrixBackend:
         parity merge by summing — so the frontier is bounded by the
         **merged bound** (distinguishable future-read parity patterns,
         :func:`~repro.mbqc.compile.signal_liveness`), typically far below
-        the raw ``2^m``.  ``shards=N`` forks the frontier across ``N``
-        worker processes once it is at least ``N`` wide — opt-in, and
-        deterministic because integration draws no randomness.
+        the raw ``2^m``.  To fan the frontier out across worker
+        processes, use :func:`repro.exec.supervised_integrate`.
 
         Branches whose weight falls below ``prune_tol`` are dropped — the
         lost mass is reported as ``DensityRun.dropped_weight``, never
         silently folded in.  The merged bound must stay within
         ``max_branches`` (R102).
         """
-        shards = int(shards)
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         compiled, plan, row = self._integration_setup(
             compiled, noise, input_state, max_branches
         )
-        return self._integrate_frontier(
-            compiled, plan, row, prune_tol, max_block_bytes, shards
+        state = _frontier_advance(
+            compiled, plan, _frontier_root(compiled, plan, row), prune_tol,
+            max_block_bytes,
         )
+        acc = _frontier_collapse(compiled, state.tensor)
+        return self._finish_run(compiled, acc, state.peak, state.dropped)
 
     def _integration_setup(
         self,
@@ -912,70 +920,6 @@ class DensityMatrixBackend:
         row = _input_row(compiled, input_state)
         row = row / np.linalg.norm(row)
         return compiled, plan, row
-
-    def _integrate_frontier(
-        self,
-        compiled: CompiledPattern,
-        plan: _FrontierPlan,
-        row: np.ndarray,
-        prune_tol: float,
-        max_block_bytes: Optional[int],
-        shards: int,
-    ) -> DensityRun:
-        """Frontier-driven integration (see :meth:`integrate`); with
-        ``shards > 1`` the shared prefix runs in-process, then contiguous
-        frontier slices finish in a :class:`ProcessPoolExecutor` and their
-        partial sums join in slice order."""
-        t0 = BatchedDensityMatrix.from_pure_rows(row[None, :])._t
-        bits = np.zeros((1, plan.n_reads), dtype=np.int8)
-        state = _FrontierState(0, t0, bits, compiled.num_inputs, 1, 0.0)
-        state = _frontier_advance(
-            compiled, plan, state, prune_tol, max_block_bytes,
-            stop_width=shards if shards > 1 else None,
-        )
-        if state.op_index >= len(compiled.ops):
-            # Ran to completion in-process (shards == 1, or the frontier
-            # never got wide enough to be worth forking).
-            acc = _frontier_collapse(compiled, state.tensor)
-            branches, dropped = state.peak, state.dropped
-        else:
-            b = state.tensor.shape[0]
-            cuts = np.array_split(np.arange(b), shards)
-            cuts = [c for c in cuts if c.size]
-            with ProcessPoolExecutor(max_workers=len(cuts)) as pool:
-                futures = [
-                    pool.submit(
-                        _integrate_shard, compiled, state.op_index,
-                        state.tensor[c], state.bits[c], state.live,
-                        prune_tol, max_block_bytes,
-                    )
-                    for c in cuts
-                ]
-                results = []
-                for k, f in enumerate(futures):
-                    try:
-                        results.append(f.result())
-                    except (BrokenProcessPool, pickle.PicklingError) as exc:
-                        raise PatternError(
-                            f"shard {k}/{len(cuts)} of the frontier "
-                            f"integration died ({type(exc).__name__}: "
-                            f"{exc}); the shard held {cuts[k].size} of "
-                            f"{b} frontier branches. Retry with "
-                            f"supervision — repro.exec.supervised_integrate"
-                            f"(..., shards={shards}, retries=, "
-                            f"shard_timeout=) recovers worker deaths and "
-                            f"can fall back in-process (CLI: repro run "
-                            f"--exact --shards {shards} --retries N)"
-                        ) from exc
-            acc = results[0][0]
-            for part, _, _ in results[1:]:
-                acc = acc + part
-            # Shards hit their peaks at roughly the same op level, so the
-            # concurrently-resident branch count is the sum of shard peaks
-            # (or the prefix peak, whichever is larger).
-            branches = max(state.peak, sum(peak for _, peak, _ in results))
-            dropped = state.dropped + sum(d for _, _, d in results)
-        return self._finish_run(compiled, acc, branches, dropped)
 
     def _finish_run(
         self,

@@ -38,6 +38,7 @@ from repro.mbqc.backend import (
     BranchRun,
     SampleRun,
     _check_branch,
+    _check_forced,
     _check_branch_noiseless,
     _check_n_shots,
     _empty_sample_run,
@@ -254,7 +255,7 @@ class MPSBackend:
         table, so seeded records are bit-identical across chunk sizes."""
         _check_n_shots(n_shots, self.name)
         rng = ensure_rng(rng)
-        forced = dict(forced_outcomes or {})
+        forced = _check_forced(compiled, forced_outcomes)
         if noise is not None:
             compiled = lower_noise(compiled, noise)
         for op in compiled.ops:

@@ -1,7 +1,7 @@
 """Bit-packed batched stabilizer tableau: one GF(2) structure, many shots.
 
-The per-shot trajectory sampler advances one Aaronson–Gottesman tableau per
-shot, repeating identical O(n²) boolean sweeps ``n_shots`` times.  This
+A per-shot trajectory sampler would advance one Aaronson–Gottesman tableau
+per shot, repeating identical O(n²) boolean sweeps ``n_shots`` times.  This
 module removes the redundancy by exploiting a structural fact of compiled
 Clifford measurement patterns:
 
@@ -160,8 +160,8 @@ class BatchedTableau:
     """
 
     def __init__(self, num_qubits: int, n_shots: int):
-        if num_qubits < 1:
-            raise ValueError("need at least one qubit")
+        if num_qubits < 0:
+            raise ValueError("need a non-negative qubit count")
         if n_shots < 1:
             raise ValueError("need at least one shot")
         n = num_qubits

@@ -102,17 +102,25 @@ class TestC003ScalarDrawsInLoops:
         )
         assert lint_source(src, NON_KERNEL) == []
 
-    def test_allowlisted_reference_path_exempt(self):
+    def test_loop_flagged_in_every_scope(self):
+        # No scope is exempt: the names that once carried scalar draw
+        # paths get the same finding as any other function or class.
         body = """
             def {name}(ops, rng):
                 for op in ops:
                     if rng.random() < 0.5:
                         pass
             """
-        src = textwrap.dedent(body.format(name="draw_pauli_fault"))
-        assert lint_source(src, KERNEL) == []
-        # run_pattern is not allowlisted: the same loop there is flagged.
-        src = textwrap.dedent(body.format(name="run_pattern"))
+        for name in ("draw_pauli_fault", "_GeneratorDraws", "run_pattern"):
+            src = textwrap.dedent(body.format(name=name))
+            assert codes(lint_source(src, KERNEL)) == ["C003"], name
+        src = textwrap.dedent(
+            """
+            class _GeneratorDraws:
+                def outcomes(self, ops):
+                    return [self._rng.integers(2) for _ in ops]
+            """
+        )
         assert codes(lint_source(src, KERNEL)) == ["C003"]
 
     def test_scalar_draw_outside_loop_fine(self):

@@ -173,7 +173,7 @@ class TestSelectBackendEdgeCases:
     def test_r101_names_every_fitting_engine(self):
         """The diagnostic suggests *each* registered engine that both fits
         the budget and supports the pattern — not a hard-coded pair."""
-        from repro.mbqc import list_backends
+        from repro.mbqc import available_backends
 
         c = ring_compiled(40)
         est = estimate_compiled(c)
@@ -183,7 +183,7 @@ class TestSelectBackendEdgeCases:
         budget = est.bytes_per_shot("statevector") - 1
         fitting = [
             name
-            for name in list_backends()
+            for name in available_backends()
             if name != "statevector"
             and est.bytes_per_shot(name) <= budget
             and get_backend(name).supports(c)
@@ -208,10 +208,10 @@ class TestSelectBackendEdgeCases:
         assert "'stabilizer' engine fits" not in str(err.value)
 
     def test_estimate_rows_cover_every_registered_engine(self):
-        from repro.mbqc import list_backends
+        from repro.mbqc import available_backends
 
         est = estimate_compiled(ring_compiled())
-        assert tuple(name for name, _, _ in est.engine_bytes) == list_backends()
+        assert tuple(name for name, _, _ in est.engine_bytes) == available_backends()
         for name, nbytes, _ in est.engine_bytes:
             assert nbytes == get_backend(name).bytes_per_shot(
                 ring_compiled()

@@ -1,14 +1,14 @@
 """Supervised sharded integration (`repro.exec.supervisor`).
 
-Certification claims: a clean supervised run is bit-identical to the
-unsupervised ``integrate(shards=N)``; same-slice retries after injected
+Certification claims: a clean supervised run is bit-identical to a run
+with every recovery layer disabled (``retries=0``, no re-split, no
+in-process fallback — the plain sharded integrator) and agrees with the
+unsharded ``integrate`` to ~1e-12; same-slice retries after injected
 crashes / OOM / timeouts recover bit-identically (R104/R103 events
 recorded); a re-split run agrees to ~1e-12 relative (summation
-re-association); the in-process fallback is bit-identical; exhausted
+re-association); the in-process fallback is bit-identical; and exhausted
 recovery raises a :class:`PatternError` naming the shard and its branch
-mass; and the plain (unsupervised) sharded path now raises an actionable
-:class:`PatternError` on ``BrokenProcessPool`` instead of leaking the raw
-traceback — the satellite bugfix.
+mass.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from patterns import j_chain
 
 from repro.core import compile_qaoa_pattern
 from repro.exec import Fault, FaultSchedule, supervised_integrate
-from repro.exec.faults import _exit_now
 from repro.mbqc import compile_pattern, get_backend
 from repro.mbqc.noise import NoiseModel
 from repro.mbqc.pattern import PatternError
@@ -39,14 +38,23 @@ def qaoa():
     ).executable()
 
 
+def unrecovered(compiled, shards, **kw):
+    """The plain sharded integration: supervision with every recovery
+    layer disabled, so any worker failure would raise."""
+    return supervised_integrate(
+        compiled, shards=shards, retries=0, resplit=False,
+        in_process_fallback=False, backoff=0.0, **kw,
+    )
+
+
 @pytest.fixture(scope="module")
 def chain_ref(chain):
-    return get_backend("density").integrate(chain, shards=2)
+    return unrecovered(chain, 2)
 
 
 @pytest.fixture(scope="module")
 def qaoa_ref(qaoa):
-    return get_backend("density").integrate(qaoa, shards=3)
+    return unrecovered(qaoa, 3)
 
 
 def assert_same_rho(a, b):
@@ -60,6 +68,9 @@ class TestCleanRuns:
         sup = supervised_integrate(chain, shards=2, backoff=0.0)
         assert sup.supervision.clean
         assert_same_rho(sup, chain_ref)
+        # Sharding only re-associates the frontier sum.
+        base = get_backend("density").integrate(chain)
+        assert np.abs(sup.rho._t - base.rho._t).max() < 1e-12
 
     def test_single_shard_runs_in_process(self, chain):
         ref = get_backend("density").integrate(chain)
@@ -77,7 +88,7 @@ class TestCleanRuns:
 
     def test_noisy_program(self, chain):
         noise = NoiseModel(p_prep=0.02, p_ent=0.02, p_meas=0.02)
-        ref = get_backend("density").integrate(chain, noise=noise, shards=2)
+        ref = unrecovered(chain, 2, noise=noise)
         sup = supervised_integrate(chain, noise=noise, shards=2, backoff=0.0)
         assert sup.supervision.clean
         assert np.array_equal(sup.rho._t, ref.rho._t)
@@ -175,18 +186,3 @@ class TestRecovery:
         assert "probability mass" in msg
         assert "retries=" in msg
 
-
-class TestUnsupervisedDiagnostic:
-    """Satellite: plain integrate(shards=N) raises an actionable
-    PatternError on BrokenProcessPool instead of the raw traceback."""
-
-    def test_broken_pool_becomes_pattern_error(self, chain, monkeypatch):
-        import repro.mbqc.density_backend as db
-
-        monkeypatch.setattr(db, "_integrate_shard", _exit_now)
-        with pytest.raises(PatternError) as err:
-            get_backend("density").integrate(chain, shards=2)
-        msg = str(err.value)
-        assert "shard 0/2" in msg
-        assert "frontier branches" in msg
-        assert "supervised_integrate" in msg

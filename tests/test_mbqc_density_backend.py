@@ -24,6 +24,7 @@ from repro.analysis import estimate_compiled
 from repro.core import compile_qaoa_pattern
 from repro.core.solver import MBQCQAOASolver
 from repro.core.verify import check_pattern_determinism
+from repro.exec import supervised_integrate
 from repro.linalg import allclose_up_to_global_phase
 from repro.mbqc import (
     Pattern,
@@ -617,6 +618,9 @@ class TestFrontierIntegration:
 
 
 class TestShardedIntegration:
+    """Sharded integration runs through the execution supervisor (the one
+    sharded path); a clean run must match the unsharded frontier."""
+
     def _noisy_ring(self):
         program = compile_qaoa_pattern(
             MaxCut.ring(3).to_qubo(), [0.4], [0.7]
@@ -640,15 +644,15 @@ class TestShardedIntegration:
             ).raw
         )
         for shards in (2, 3):
-            run = eng.integrate(program, shards=shards)
+            run = supervised_integrate(program, shards=shards, backoff=0.0)
+            assert run.supervision.clean
             assert np.abs(run.rho._t - base.rho._t).max() < 1e-12
             assert np.abs(run.rho.to_matrix() - scalar).max() < 1e-12
 
     def test_sharded_rerun_bit_identical(self):
         program = self._noisy_ring()
-        eng = get_backend("density")
-        a = eng.integrate(program, shards=2)
-        b = eng.integrate(program, shards=2)
+        a = supervised_integrate(program, shards=2, backoff=0.0)
+        b = supervised_integrate(program, shards=2, backoff=0.0)
         assert np.array_equal(a.rho._t, b.rho._t)
         assert a.branches == b.branches
 
@@ -659,14 +663,14 @@ class TestShardedIntegration:
             compile_pattern(j_chain([0.4, 0.9, 1.3])),
             ChannelNoiseModel(ent=Channel.dephasing(0.05)),
         )
-        eng = get_backend("density")
-        run = eng.integrate(noisy, shards=4)
+        run = supervised_integrate(noisy, shards=4, backoff=0.0)
+        assert run.supervision.clean
         base = oracle_run(noisy)
         assert np.abs(run.rho.to_matrix() - base.rho).max() < 1e-12
 
     def test_shards_must_be_positive(self):
         with pytest.raises(ValueError, match="shards"):
-            get_backend("density").integrate(self._noisy_ring(), shards=0)
+            supervised_integrate(self._noisy_ring(), shards=0)
 
 
 class TestChoiBatch:

@@ -22,7 +22,6 @@ from repro.mbqc import (
     available_backends,
     compile_pattern,
     get_backend,
-    list_backends,
     run_pattern,
     select_backend,
 )
@@ -46,7 +45,6 @@ class TestRegistry:
     def test_registered(self):
         assert "mps" in available_backends()
         assert get_backend("mps").name == "mps"
-        assert list_backends() == available_backends()
 
     def test_supports_everything_but_non_pauli_channels(self):
         from repro.mbqc.compile import lower_noise

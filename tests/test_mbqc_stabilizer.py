@@ -610,16 +610,17 @@ class TestBatchedTableauSampler:
         states = run.dense_states()
         assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-9)
 
-    def test_non_batch_applicable_fallback_survives_shot_dependent_schedule(self):
-        """Regression: a hand-built Clifford program with a non-Pauli
-        conditional (H) diverges the X/Z structure per shot, so which later
-        measurements are random differs across shots — the program runs on
-        the per-shot loop, drawing per shot from the generator (no
-        whole-block vector schedule exists for it)."""
+    def test_non_batch_applicable_program_refused(self):
+        """A hand-built Clifford program with a non-Pauli conditional (H)
+        diverges the X/Z structure per shot, so the batched tableau cannot
+        run it: the stabilizer engine refuses it loudly at every entry
+        point, and automatic dispatch routes it to the statevector engine,
+        which samples it (readout noise included)."""
         from dataclasses import replace as dc_replace
 
         from repro.linalg.gates import HADAMARD
         from repro.mbqc.compile import ConditionalOp
+        from repro.mbqc.noise import NoiseModel
 
         p = Pattern(input_nodes=[], output_nodes=[2])
         p.n(0).n(1).n(2).e(0, 1).e(1, 2)
@@ -636,27 +637,39 @@ class TestBatchedTableauSampler:
         )
         hacked = dc_replace(c, ops=tuple(ops))
         assert hacked.is_clifford
-        from repro.mbqc.backend import _batch_applicable
-
-        assert not _batch_applicable(hacked)
         sb = get_backend("stabilizer")
-        from repro.mbqc.noise import NoiseModel
-
-        run = sb.sample_batch(
+        assert sb.supports(c)
+        assert not sb.supports(hacked)
+        with pytest.raises(PatternError, match="stabilizer"):
+            select_backend(hacked, "stabilizer")
+        with pytest.raises(PatternError, match="stabilizer"):
+            sb.sample_batch(hacked, 64, rng=np.random.default_rng(0))
+        with pytest.raises(PatternError, match="stabilizer"):
+            sb.run_branch_batch(
+                hacked, np.ones((1, 1), dtype=complex), {0: 0, 1: 0}
+            )
+        engine = select_backend(hacked)
+        assert engine.name == "statevector"
+        run = engine.sample_batch(
             hacked, 64, rng=np.random.default_rng(0),
-            noise=NoiseModel(p_meas=0.2), keep_raw=True,
+            noise=NoiseModel(p_meas=0.2),
         )
         assert run.outcomes.shape == (64, 2)
-        assert all(type(out) is StabilizerOutput for out in run.raw)
         assert np.allclose(
             np.linalg.norm(run.dense_states(), axis=1), 1.0, atol=1e-9
         )
 
-    def test_empty_register_samples_on_per_shot_loop(self):
+    def test_empty_register_samples_on_batched_tableau(self):
         p = Pattern(input_nodes=[], output_nodes=[])
         c = compile_pattern(p)
-        run = get_backend("stabilizer").sample_batch(c, 2, rng=0)
+        run = get_backend("stabilizer").sample_batch(
+            c, 2, rng=0, keep_raw=True
+        )
         assert run.outcomes.shape == (2, 0)
+        assert len(run.raw) == 2
+        for out in run.raw:
+            assert out.weight == 1.0
+            assert np.array_equal(out.unit_statevector(), [1.0])
 
     def test_engine_named_errors(self):
         qubo = MaxCut.ring(3).to_qubo()

@@ -11,10 +11,16 @@ the empty run and leaves the caller's generator untouched.
 import numpy as np
 import pytest
 
-from repro.mbqc import Pattern, compile_pattern, get_backend, list_backends
+from repro.mbqc import (
+    Pattern,
+    PatternError,
+    available_backends,
+    compile_pattern,
+    get_backend,
+)
 from repro.utils.rng import ensure_rng
 
-ENGINES = tuple(list_backends())
+ENGINES = tuple(available_backends())
 
 
 def clifford_chain():
@@ -75,3 +81,28 @@ def test_statevector_empty_states_block(compiled):
     )
     assert run.states is not None
     assert run.states.shape == (0, 1 << compiled.num_outputs)
+
+
+@pytest.mark.parametrize("name", ENGINES)
+@pytest.mark.parametrize("bad", ["bit 2", "bit -1", "unmeasured node"])
+def test_invalid_forced_outcomes_refused(compiled, name, bad):
+    """``forced_outcomes`` is validated identically on every engine: a bit
+    outside {0, 1} or a node the pattern never measures raises
+    PatternError — it is never recorded, ignored, or left to crash deep
+    in a shot loop."""
+    node = compiled.measured_nodes[0]
+    forced = {
+        "bit 2": {node: 2},
+        "bit -1": {node: -1},
+        "unmeasured node": {9999: 1},
+    }[bad]
+    engine = get_backend(name)
+    for n_shots in (0, 4):
+        with pytest.raises(PatternError, match="forced outcome"):
+            engine.sample_batch(
+                compiled, n_shots, ensure_rng(0), forced_outcomes=forced
+            )
+    run = engine.sample_batch(
+        compiled, 4, ensure_rng(0), forced_outcomes={node: 1}
+    )
+    assert np.all(run.outcomes[:, 0] == 1)

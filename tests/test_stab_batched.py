@@ -212,9 +212,17 @@ class TestBatchedVsScalarReplicas:
 class TestValidation:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError, match="qubit"):
-            BatchedTableau(0, 4)
+            BatchedTableau(-1, 4)
         with pytest.raises(ValueError, match="shot"):
             BatchedTableau(3, 0)
+        # The empty register is a valid tableau (the stabilizer engine
+        # samples empty patterns on it): no rows, one weight per shot.
+        bt = BatchedTableau(0, 4)
+        assert bt.x.shape == bt.z.shape == (0, 0)
+        assert bt.r.shape == (0, 1)
+        assert np.array_equal(bt.log2_weight, np.zeros(4))
+        with pytest.raises(ValueError, match="range"):
+            bt.h(0)
 
     def test_rejects_out_of_range(self):
         bt = BatchedTableau(3, 4)
